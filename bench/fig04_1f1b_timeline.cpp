@@ -5,7 +5,6 @@
 
 #include "bench/timeline_util.h"
 #include "src/common/sim_time.h"
-#include "src/schedule/policy.h"
 #include "src/simexec/pipeline_sim.h"
 
 using namespace pipedream;

@@ -52,18 +52,17 @@ void Panel(const char* label, const HardwareTopology& topo) {
   pd_options.num_minibatches = 192;
   const SimResult pd = SimulatePipeline(profile, plan, topo, pd_options);
 
-  auto run_gpipe = [&](int m, double recompute) {
+  auto run_gpipe = [&](int m, bool recompute) {
     SimOptions options;
     options.schedule = ScheduleKind::kGPipe;
     options.gpipe_microbatches = m;
-    options.gpipe_recompute_overhead = recompute;
-    options.gpipe_discard_activations = recompute > 0.0;
+    options.recompute = recompute;
     options.num_minibatches = (192 / m) * m;
     return SimulatePipeline(profile, plan, topo, options);
   };
-  const SimResult gpipe_noam = run_gpipe(noam, 0.0);
+  const SimResult gpipe_noam = run_gpipe(noam, false);
   // At max depth GPipe must discard + recompute activations (extra forward work on backward).
-  const SimResult gpipe_max = run_gpipe(max_depth, 1.0);
+  const SimResult gpipe_max = run_gpipe(max_depth, true);
 
   Table table({"system", "pipeline depth", "samples/s", "slowdown vs PipeDream"});
   table.AddRow({"PipeDream 1F1B", StrFormat("%d (NOAM)", noam),

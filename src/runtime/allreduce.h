@@ -136,8 +136,9 @@ class GradientAllReducer {
   uint64_t generation_ = 0;
 };
 
-// Generation-counting thread barrier (GPipe's pipeline-flush synchronization point).
-// Abortable for the same reason as the reducer: a dead stage must not wedge the flush.
+// Generation-counting thread barrier (the Flush instruction of flush-family programs).
+// Abortable for the same reason as the reducer: a dead stage must not wedge the flush. An
+// aborted barrier stays aborted; each epoch attempt builds a fresh one.
 class FlushBarrier {
  public:
   explicit FlushBarrier(int participants) : participants_(participants) {
@@ -168,13 +169,6 @@ class FlushBarrier {
       aborted_ = true;
     }
     cv_.notify_all();
-  }
-
-  // Only call when no participant thread is running.
-  void Reset() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    aborted_ = false;
-    arrived_ = 0;
   }
 
  private:

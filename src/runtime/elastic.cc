@@ -76,6 +76,11 @@ ElasticTrainer::ElasticTrainer(const Sequential& model, const ModelProfile& prof
   }
   PD_CHECK(!cluster_.empty())
       << "no workers: pass a cluster or set PIPEDREAM_WORKER_SPEEDS";
+  // Re-planning resumes a new plan on the epoch grid with per-minibatch 1F1B semantics;
+  // flush rounds and interleaved chunk layouts do not survive a re-partition.
+  const ScheduleKind schedule = ScheduleKindFromEnv().value_or(options_.trainer.schedule);
+  PD_CHECK(schedule == ScheduleKind::kOneFOneB)
+      << "elastic re-planning requires a 1F1B schedule, not " << ScheduleKindName(schedule);
   if (const char* env = std::getenv("PIPEDREAM_ELASTIC_REPLAN")) {
     options_.replan_on_failure = std::atoi(env) != 0;
   }
@@ -93,9 +98,6 @@ ElasticTrainer::ElasticTrainer(const Sequential& model, const ModelProfile& prof
     epoch_length_ = options_.epoch_length;
   } else {
     int64_t round = UniversalRound(static_cast<int>(cluster_.size()));
-    if (options_.trainer.schedule == ScheduleKind::kGPipe) {
-      round = Lcm(round, options_.trainer.gpipe_microbatches);
-    }
     if (options_.trainer.accumulation_steps > 1) {
       round = Lcm(round, options_.trainer.accumulation_steps);
     }

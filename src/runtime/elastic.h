@@ -21,7 +21,8 @@
 //                    launched from the migrated checkpoint would produce.
 //
 // The simulator mirrors the same flow (SimFault replan/join events) so policy code can
-// price re-plan-vs-degraded without running threads; bench_elastic measures both.
+// price re-plan-vs-degraded without running threads; bench_elastic measures both. Both run
+// the 1F1B schedule only and reject every other schedule at construction.
 #ifndef SRC_RUNTIME_ELASTIC_H_
 #define SRC_RUNTIME_ELASTIC_H_
 

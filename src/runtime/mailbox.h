@@ -1,8 +1,9 @@
 // Thread-safe per-worker mailbox: the runtime analogue of the simulator's ready queues.
 //
 // Upstream/downstream stage workers push forward activations and backward gradients here;
-// the owning worker blocks until its scheduling policy can act. Messages carry minibatch ids
-// so 1F1B-RR routing and weight stashing can match forwards with backwards exactly.
+// the owning worker blocks until the message its next instruction names has arrived.
+// Messages carry minibatch ids so 1F1B-RR routing and weight stashing can match forwards
+// with backwards exactly.
 //
 // Wakeup protocol: every state change that could unblock the owner (a delivery, or any
 // change to external state the owner's wait predicate consults, signalled via Poke()) bumps

@@ -97,21 +97,11 @@ struct PipelineTrainer::StageRuntime {
   std::atomic<bool> dead{false};
 
   // --- per-epoch state (owned by the worker thread during an epoch)
-  std::unique_ptr<SchedulingPolicy> policy;
   int64_t epoch_begin = 0;
   int64_t epoch_end = 0;
-  int64_t next_admission = 0;
-  int64_t next_forward = 0;   // next minibatch to consume from the forward queue
-  int64_t next_backward = 0;  // next minibatch to consume from the backward queue
-  int in_flight = 0;
-  int admission_cap = 1;
-  int64_t bwd_quota = 0;
-  int64_t bwd_done = 0;
-  int64_t fwd_started = 0;
-  int gpipe_round_bwd = 0;
   std::map<int64_t, ModelContext> contexts;
   std::map<int64_t, Tensor> recompute_inputs;  // stage inputs kept for recomputation
-  int accumulated = 0;  // backwards since the last optimizer step (gradient accumulation)
+  int accumulated = 0;  // backwards since the last Step (gradient accumulation)
 
   // --- metrics
   double loss_sum = 0.0;
@@ -150,21 +140,12 @@ struct PipelineTrainer::StageRuntime {
     }
   }
 
-  void PrepareEpoch(int64_t begin, int64_t end, const PipelineTrainerOptions& options,
-                    const PipelinePlan& plan);
-  void RunEpoch();
+  void PrepareEpoch(int64_t begin, int64_t end);
   void DoForward(int64_t minibatch, PipeMessage message);
   void DoBackward(PipeMessage message);
-  bool GPipeMode() const {
-    // Round-gated admission, per-round gradient aggregation, and the flush barrier are
-    // shared by the whole flush family; kInterleaved is per-chunk 1F1B and stays out.
-    return IsFlushFamily(trainer->options_.schedule);
-  }
-  int GPipeRoundSize() const {
-    return trainer->options_.schedule == ScheduleKind::kModelParallel
-               ? 1
-               : trainer->options_.gpipe_microbatches;
-  }
+  // Applies the gradients of the `accumulated` backwards since the last Step, the last of
+  // which was `minibatch`: scale to their mean, all-reduce across the replicas, and step.
+  void DoStep(int64_t minibatch);
 };
 
 PipelineTrainer::PipelineTrainer(const Sequential& model, const PipelinePlan& plan,
@@ -207,8 +188,9 @@ PipelineTrainer::PipelineTrainer(const Sequential& model, const PipelinePlan& pl
     }
   }
   if (IsFlushFamily(options_.schedule)) {
-    PD_CHECK(plan_.IsStraight() || plan_.num_stages() == 1)
-        << "flush-family runtime requires an unreplicated pipeline";
+    PD_CHECK_EQ(plan_.total_workers(), plan_.num_stages())
+        << "the " << ScheduleKindName(options_.schedule)
+        << " schedule requires an unreplicated pipeline";
     // Weights do not change between a round's forward and backward passes, so versioning is
     // unnecessary (this is exactly GPipe's correctness argument).
     options_.weight_mode = WeightMode::kNaive;
@@ -265,9 +247,6 @@ PipelineTrainer::PipelineTrainer(const Sequential& model, const PipelinePlan& pl
   const int num_stages = plan_.num_stages();
   stage_reducers_.resize(static_cast<size_t>(num_stages));
   by_stage_.resize(static_cast<size_t>(num_stages));
-  if (IsFlushFamily(options_.schedule)) {
-    flush_barrier_ = std::make_unique<FlushBarrier>(num_stages);
-  }
   for (int s = 0; s < num_stages; ++s) {
     const StageAssignment& assignment = plan_.stage(s);
     if (assignment.replicas > 1) {
@@ -318,10 +297,10 @@ PipelineTrainer::PipelineTrainer(const Sequential& model, const PipelinePlan& pl
   PD_CHECK(started.ok()) << "transport start failed: " << started.ToString();
 
   // Position the trainer on the global epoch grid. A re-planned trainer picks up exactly
-  // where its predecessor stopped: same minibatch stream, new plan. EpochLength() also
+  // where its predecessor stopped: same minibatch stream, new plan. epoch_length() also
   // validates any epoch_length override against this plan's synchronization round.
   PD_CHECK_GE(options_.start_epoch, 0);
-  const int64_t bpe = EpochLength();
+  const int64_t bpe = epoch_length();
   epochs_completed_ = options_.start_epoch;
   next_global_minibatch_ = options_.start_epoch * bpe;
 }
@@ -381,155 +360,12 @@ PipelineTrainer::StageRuntime* PipelineTrainer::ActiveRuntime(int stage) const {
   return active[0];
 }
 
-void PipelineTrainer::StageRuntime::PrepareEpoch(int64_t begin, int64_t end,
-                                                 const PipelineTrainerOptions& options,
-                                                 const PipelinePlan& plan) {
+void PipelineTrainer::StageRuntime::PrepareEpoch(int64_t begin, int64_t end) {
   epoch_begin = begin;
   epoch_end = end;
-  if (options.schedule == ScheduleKind::kOneFOneB) {
-    admission_cap = StartupDepth(plan, stage);
-    policy = std::make_unique<OneFOneBPolicy>(admission_cap);
-  } else if (options.schedule == ScheduleKind::kInterleaved) {
-    // The statically generated op list (RunWorkerInterleaved) is the schedule; the policy
-    // object is never consulted. The list scheduler caps stage-0 admissions at num_stages.
-    admission_cap = plan.num_stages();
-    policy = std::make_unique<OneFOneBPolicy>(admission_cap);
-  } else if (options.schedule == ScheduleKind::kPipeDreamFlush) {
-    // 1F1B order within each round of m, then the same drain + aggregated update as GPipe.
-    admission_cap = GPipeRoundSize();
-    policy =
-        std::make_unique<PipeDreamFlushPolicy>(StartupDepth(plan, stage), GPipeRoundSize());
-  } else {
-    admission_cap = GPipeRoundSize();
-    policy = std::make_unique<GPipePolicy>(GPipeRoundSize());
-  }
-  // First minibatch in [begin, end) owned by this replica's rotation slot. `begin` is not
-  // necessarily a multiple of rr_size (a degraded rotation is smaller than the plan's), so
-  // align on the residue rather than assuming begin + rr_rank.
-  const int64_t offset = ((rr_rank - begin) % rr_size + rr_size) % rr_size;
-  const int64_t first = begin + offset;
-  next_admission = first;
-  next_forward = first;
-  next_backward = first;
-  in_flight = 0;
-  gpipe_round_bwd = 0;
-  bwd_done = 0;
-  fwd_started = 0;
-  bwd_quota = first < end ? (end - first + rr_size - 1) / rr_size : 0;
   contexts.clear();
   recompute_inputs.clear();
   accumulated = 0;
-}
-
-void PipelineTrainer::StageRuntime::RunEpoch() {
-  const auto tick = std::chrono::milliseconds(trainer->recovery_.worker_tick_ms);
-  Beat();
-  while (bwd_done < bwd_quota) {
-    ThrowIfEpochAborted();
-    std::optional<WorkType> action;
-    const auto ready = [&](int64_t min_fwd, int64_t min_bwd) {
-      // A minibatch is ready only when it is the NEXT one in this replica's round-robin
-      // share. Out-of-order arrivals (possible whenever a neighbouring stage is replicated)
-      // are held back, so every replica consumes work in a schedule-determined order and the
-      // training trajectory is independent of thread timing.
-      int ready_fwd = min_fwd == next_forward ? 1 : 0;
-      if (is_input) {
-        bool admit = next_admission < epoch_end && in_flight < admission_cap;
-        if (GPipeMode()) {
-          // Admit only the current flush round's microbatches.
-          const int64_t round = (next_admission - epoch_begin) / GPipeRoundSize();
-          const int64_t done_rounds = bwd_done / GPipeRoundSize();
-          admit = next_admission < epoch_end && round <= done_rounds;
-        }
-        ready_fwd = admit ? 1 : 0;
-      }
-      const int ready_bwd = min_bwd == next_backward ? 1 : 0;
-      const bool exhausted = is_input ? next_admission >= epoch_end : fwd_started == bwd_quota;
-      action = policy->Decide(ready_fwd, ready_bwd, exhausted);
-      return action.has_value();
-    };
-    // Deadline-bounded wait: regain control every tick to heartbeat and observe aborts, so
-    // a dead upstream can never wedge this worker forever.
-    const int64_t wait_begin_ns = obs::TraceClockNs();
-    while (!mailbox->WaitUntilFor(ready, tick)) {
-      Beat();
-      ThrowIfEpochAborted();
-    }
-    Beat();
-    const int64_t waited_ns = obs::TraceClockNs() - wait_begin_ns;
-    PD_CHECK(action.has_value());
-    if (waited_ns > 10'000) {  // ignore sub-10µs predicate churn; count real starvation
-      epoch_stall_ns += waited_ns;
-      // Attribute the bubble by what finally unblocked us: waiting on a forward from a
-      // neighbour means the *upstream* was late (starvation); waiting to be allowed to
-      // admit, or for a gradient to come back, means the *downstream* side of the loop is
-      // the bottleneck (backpressure). Weight-sync and recovery bubbles are attributed at
-      // their own sites, not here.
-      const obs::StallCause cause = (*action == WorkType::kForward && !is_input)
-                                        ? obs::StallCause::kStarvedUpstream
-                                        : obs::StallCause::kBackpressuredDownstream;
-      obs::RecordSpan(obs::StallCauseSpanName(cause), wait_begin_ns, waited_ns, stage);
-      trainer->bubbles_->Add(stage, cause, waited_ns);
-    }
-
-    // Consult the fault plan with the minibatch this action is about to process.
-    if (FaultInjector* injector = trainer->injector_) {
-      const int64_t pending = *action == WorkType::kForward
-                                  ? (is_input ? next_admission : next_forward)
-                                  : next_backward;
-      const FaultInjector::WorkerAction fate =
-          injector->OnWorkStart(stage, replica, pending, *action);
-      if (fate.kill) {
-        throw WorkerKilledError{fate.reason};
-      }
-      if (fate.stall_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(fate.stall_ms));
-        Beat();
-      }
-    }
-
-    if (*action == WorkType::kForward) {
-      PipeMessage message;
-      int64_t minibatch;
-      if (is_input) {
-        minibatch = next_admission;
-        next_admission += rr_size;
-        ++in_flight;
-        loader->BatchAt(minibatch, &message.payload, &message.targets);
-        message.input_version = weights->version();
-      } else {
-        std::optional<PipeMessage> taken = mailbox->Take(WorkType::kForward);
-        PD_CHECK(taken.has_value());
-        PD_CHECK_EQ(taken->minibatch, next_forward);
-        if (!VerifyChecksum(*taken)) {
-          throw MessageCorruptionError{
-              StrFormat("forward payload for minibatch %lld failed its checksum at stage %d",
-                        static_cast<long long>(taken->minibatch), stage)};
-        }
-        minibatch = taken->minibatch;
-        message = std::move(*taken);
-        next_forward += rr_size;
-      }
-      policy->OnStarted(WorkType::kForward);
-      ++fwd_started;
-      DoForward(minibatch, std::move(message));
-    } else {
-      std::optional<PipeMessage> taken = mailbox->Take(WorkType::kBackward);
-      PD_CHECK(taken.has_value());
-      PD_CHECK_EQ(taken->minibatch, next_backward);
-      if (!VerifyChecksum(*taken)) {
-        throw MessageCorruptionError{
-            StrFormat("backward payload for minibatch %lld failed its checksum at stage %d",
-                      static_cast<long long>(taken->minibatch), stage)};
-      }
-      next_backward += rr_size;
-      policy->OnStarted(WorkType::kBackward);
-      DoBackward(std::move(*taken));
-    }
-    work_items.fetch_add(1, std::memory_order_release);
-    Beat();
-  }
-  Beat();
 }
 
 void PipelineTrainer::StageRuntime::DoForward(int64_t minibatch, PipeMessage message) {
@@ -619,110 +455,13 @@ void PipelineTrainer::StageRuntime::DoBackward(PipeMessage message) {
         << "backward for minibatch " << minibatch << " without a stashed forward context";
     ctx = &ctx_it->second;
   }
-  const bool gpipe = GPipeMode();
-  const int accumulation = trainer->options_.accumulation_steps;
-  if (!gpipe) {
-    if (accumulated == 0) {
-      model->ZeroGrads();
-    }
-  } else if (gpipe_round_bwd == 0) {
-    model->ZeroGrads();  // gradients aggregate across the round's microbatches
+  if (accumulated == 0) {
+    model->ZeroGrads();  // gradients aggregate until the next Step
   }
   Tensor grad_in = model->Backward(message.payload, ctx);
   contexts.erase(minibatch);
   weights->EndBackward(minibatch);
-
-  if (!gpipe) {
-    if (++accumulated >= accumulation) {
-      if (accumulation > 1) {
-        const float inv = 1.0f / static_cast<float>(accumulation);
-        for (Parameter* p : params) {
-          Scale(&p->grad, inv);
-        }
-      }
-      if (reducer != nullptr) {
-        int slot;
-        int participants;
-        if (accumulation > 1) {
-          // Update rounds are aligned across replicas (one step per `accumulation` of each
-          // replica's own minibatches), so every active replica participates.
-          slot = rr_rank;
-          participants = rr_size;
-        } else {
-          // Per-minibatch rounds cover rr_size consecutive minibatches. A degraded rotation
-          // may leave a short tail round whose membership is smaller; derive both the round
-          // size and this replica's slot from the minibatch id so all participants agree.
-          const int64_t group_begin = minibatch - (minibatch - epoch_begin) % rr_size;
-          participants =
-              static_cast<int>(std::min<int64_t>(rr_size, epoch_end - group_begin));
-          slot = static_cast<int>(minibatch - group_begin);
-        }
-        // A long wait inside the collective is a bubble like any other, but with a
-        // distinct cause: replicas pacing each other for weight synchronization.
-        const int64_t sync_begin_ns = obs::TraceClockNs();
-        if (!reducer->AllReduce(slot, params, participants)) {
-          throw EpochAbortedError{};
-        }
-        const int64_t sync_ns = obs::TraceClockNs() - sync_begin_ns;
-        if (sync_ns > 10'000) {
-          obs::RecordSpan(obs::StallCauseSpanName(obs::StallCause::kWeightSync),
-                          sync_begin_ns, sync_ns, stage);
-          trainer->bubbles_->Add(stage, obs::StallCause::kWeightSync, sync_ns);
-        }
-      }
-      {
-        ScopedHistTimer step_timer(step_hist);
-        PD_TRACE_SPAN("step", stage, minibatch);
-        weights->BeginUpdate();  // 2BW: park the pre-update weights in the shadow buffer
-        optimizer->Step(params);
-        weights->CommitUpdate();
-      }
-      peak_stash_bytes = std::max(peak_stash_bytes, weights->StashBytes());
-      peak_materialized_stash_bytes =
-          std::max(peak_materialized_stash_bytes, weights->MaterializedStashBytes());
-      accumulated = 0;
-    }
-  } else {
-    ++gpipe_round_bwd;
-    const int64_t remaining = epoch_end - (minibatch - minibatch % GPipeRoundSize());
-    const int round_size = static_cast<int>(std::min<int64_t>(GPipeRoundSize(), remaining));
-    if (gpipe_round_bwd == round_size) {
-      // End of round: apply the aggregated update, then wait at the pipeline flush.
-      const float inv = 1.0f / static_cast<float>(round_size);
-      for (Parameter* p : params) {
-        Scale(&p->grad, inv);
-      }
-      {
-        ScopedHistTimer step_timer(step_hist);
-        PD_TRACE_SPAN("step", stage, minibatch);
-        weights->BeginUpdate();  // no-op: GPipe-family schedules force kNaive
-        optimizer->Step(params);
-        weights->CommitUpdate();
-      }
-      peak_materialized_stash_bytes =
-          std::max(peak_materialized_stash_bytes, weights->MaterializedStashBytes());
-      gpipe_round_bwd = 0;
-      ++bwd_done;  // count before blocking so quotas stay consistent
-      if (stage > 0) {
-        PipeMessage backward;
-        backward.minibatch = minibatch;
-        backward.type = WorkType::kBackward;
-        backward.payload = std::move(grad_in);
-        backward.trace_id = flow;
-        trainer->Send(this, stage - 1, std::move(backward));
-      } else {
-        --in_flight;
-      }
-      if (!trainer->flush_barrier_->Arrive()) {
-        throw EpochAbortedError{};
-      }
-      static_cast<RoundPolicy*>(policy.get())->OnFlushComplete();
-      mailbox->Poke();
-      return;
-    }
-  }
-
-  ++bwd_done;
+  ++accumulated;
   if (stage > 0) {
     PipeMessage backward;
     backward.minibatch = minibatch;
@@ -730,37 +469,100 @@ void PipelineTrainer::StageRuntime::DoBackward(PipeMessage message) {
     backward.payload = std::move(grad_in);
     backward.trace_id = flow;
     trainer->Send(this, stage - 1, std::move(backward));
-  } else {
-    --in_flight;
   }
 }
 
-void PipelineTrainer::RunWorkerInterleaved(const std::vector<StageRuntime*>& owned,
-                                           const std::vector<ChunkOp>& ops,
-                                           StageRuntime** current) {
-  const int physical_workers = plan_.num_stages() / options_.interleave_chunks;
+void PipelineTrainer::StageRuntime::DoStep(int64_t minibatch) {
+  PD_CHECK_GT(accumulated, 0) << "Step at stage " << stage << " with no gradients";
+  if (accumulated > 1) {
+    const float inv = 1.0f / static_cast<float>(accumulated);
+    for (Parameter* p : params) {
+      Scale(&p->grad, inv);
+    }
+  }
+  if (reducer != nullptr) {
+    int slot;
+    int participants;
+    if (accumulated > 1) {
+      // Update rounds are aligned across replicas (one step per `accumulation` of each
+      // replica's own minibatches), so every active replica participates.
+      slot = rr_rank;
+      participants = rr_size;
+    } else {
+      // Per-minibatch rounds cover rr_size consecutive minibatches. A degraded rotation
+      // may leave a short tail round whose membership is smaller; derive both the round
+      // size and this replica's slot from the minibatch id so all participants agree.
+      const int64_t group_begin = minibatch - (minibatch - epoch_begin) % rr_size;
+      participants = static_cast<int>(std::min<int64_t>(rr_size, epoch_end - group_begin));
+      slot = static_cast<int>(minibatch - group_begin);
+    }
+    // A long wait inside the collective is a bubble like any other, but with a distinct
+    // cause: replicas pacing each other for weight synchronization.
+    const int64_t sync_begin_ns = obs::TraceClockNs();
+    if (!reducer->AllReduce(slot, params, participants)) {
+      throw EpochAbortedError{};
+    }
+    const int64_t sync_ns = obs::TraceClockNs() - sync_begin_ns;
+    if (sync_ns > 10'000) {
+      obs::RecordSpan(obs::StallCauseSpanName(obs::StallCause::kWeightSync), sync_begin_ns,
+                      sync_ns, stage);
+      trainer->bubbles_->Add(stage, obs::StallCause::kWeightSync, sync_ns);
+    }
+  }
+  {
+    ScopedHistTimer step_timer(step_hist);
+    PD_TRACE_SPAN("step", stage, minibatch);
+    weights->BeginUpdate();  // 2BW: park the pre-update weights in the shadow buffer
+    optimizer->Step(params);
+    weights->CommitUpdate();
+  }
+  peak_stash_bytes = std::max(peak_stash_bytes, weights->StashBytes());
+  peak_materialized_stash_bytes =
+      std::max(peak_materialized_stash_bytes, weights->MaterializedStashBytes());
+  accumulated = 0;
+}
+
+void PipelineTrainer::RunWorker(const WorkerProgram& program,
+                                const std::vector<StageRuntime*>& owned,
+                                StageRuntime** current) {
   const auto tick = std::chrono::milliseconds(recovery_.worker_tick_ms);
-  // The watchdog tracks heartbeats per chunk runtime; a worker waiting on one chunk must
-  // not let its other chunks look dead.
+  // The watchdog tracks heartbeats per stage runtime; a worker waiting on one of its chunks
+  // must not let its other chunks look dead.
   const auto beat_all = [&owned] {
     for (StageRuntime* rt : owned) {
       rt->Beat();
     }
   };
   beat_all();
-  for (const ChunkOp& op : ops) {
-    // Executing the generated list strictly in order is what makes interleaving both
-    // deadlock-free (the list is a feasible execution) and bitwise-deterministic (each op
-    // consumes exactly one schedule-determined message, regardless of thread timing).
-    StageRuntime* rt = owned[static_cast<size_t>(op.stage / physical_workers)];
+  for (const Instr& instr : program.instrs) {
+    StageRuntime* rt = *std::find_if(owned.begin(), owned.end(), [&](StageRuntime* candidate) {
+      return candidate->stage == instr.stage;
+    });
     *current = rt;
     rt->ThrowIfEpochAborted();
-    const bool is_fwd = op.type == WorkType::kForward;
+    if (instr.op == OpCode::kStep) {
+      rt->DoStep(instr.minibatch);
+      continue;
+    }
+    if (instr.op == OpCode::kFlush) {
+      if (!flush_barrier_->Arrive()) {
+        throw EpochAbortedError{};
+      }
+      continue;
+    }
+    // Each op consumes exactly the message its instruction names, whatever order messages
+    // arrive in: that makes the trajectory independent of thread timing, and since the
+    // programs are a feasible execution, the wait always ends. Stage 0's forwards read
+    // their minibatch from the loader instead.
+    const WorkType type = WorkTypeOf(instr.op);
+    const bool from_loader = type == WorkType::kForward && rt->is_input;
     const int64_t wait_begin_ns = obs::TraceClockNs();
-    if (!(is_fwd && rt->is_input)) {
+    if (!from_loader) {
       const auto ready = [&](int64_t min_fwd, int64_t min_bwd) {
-        return is_fwd ? min_fwd == rt->next_forward : min_bwd == rt->next_backward;
+        return (type == WorkType::kForward ? min_fwd : min_bwd) == instr.minibatch;
       };
+      // Deadline-bounded wait: regain control every tick to heartbeat and observe aborts,
+      // so a dead upstream can never wedge this worker forever.
       while (!rt->mailbox->WaitUntilFor(ready, tick)) {
         beat_all();
         rt->ThrowIfEpochAborted();
@@ -768,19 +570,22 @@ void PipelineTrainer::RunWorkerInterleaved(const std::vector<StageRuntime*>& own
     }
     beat_all();
     const int64_t waited_ns = obs::TraceClockNs() - wait_begin_ns;
-    if (waited_ns > 10'000) {
+    if (waited_ns > 10'000) {  // ignore sub-10µs predicate churn; count real starvation
       rt->epoch_stall_ns += waited_ns;
-      const obs::StallCause cause = (is_fwd && !rt->is_input)
+      // Attribute the bubble by what we waited for: a forward from a neighbour means the
+      // *upstream* was late (starvation); a gradient coming back means the *downstream*
+      // side of the loop is the bottleneck (backpressure). Weight-sync and recovery bubbles
+      // are attributed at their own sites, not here.
+      const obs::StallCause cause = type == WorkType::kForward
                                         ? obs::StallCause::kStarvedUpstream
                                         : obs::StallCause::kBackpressuredDownstream;
       obs::RecordSpan(obs::StallCauseSpanName(cause), wait_begin_ns, waited_ns, rt->stage);
       bubbles_->Add(rt->stage, cause, waited_ns);
     }
+    // Consult the fault plan with the minibatch this op is about to process.
     if (injector_ != nullptr) {
-      const int64_t pending = is_fwd ? (rt->is_input ? rt->next_admission : rt->next_forward)
-                                     : rt->next_backward;
       const FaultInjector::WorkerAction fate =
-          injector_->OnWorkStart(rt->stage, rt->replica, pending, op.type);
+          injector_->OnWorkStart(rt->stage, rt->replica, instr.minibatch, type);
       if (fate.kill) {
         throw WorkerKilledError{fate.reason};
       }
@@ -789,48 +594,28 @@ void PipelineTrainer::RunWorkerInterleaved(const std::vector<StageRuntime*>& own
         beat_all();
       }
     }
-    if (is_fwd) {
-      PipeMessage message;
-      int64_t minibatch;
-      if (rt->is_input) {
-        minibatch = rt->next_admission;
-        rt->next_admission += 1;  // interleaved plans are unreplicated: rr_size == 1
-        ++rt->in_flight;
-        rt->loader->BatchAt(minibatch, &message.payload, &message.targets);
-        message.input_version = rt->weights->version();
-      } else {
-        std::optional<PipeMessage> taken = rt->mailbox->Take(WorkType::kForward);
-        PD_CHECK(taken.has_value());
-        PD_CHECK_EQ(taken->minibatch, rt->next_forward);
-        if (!VerifyChecksum(*taken)) {
-          throw MessageCorruptionError{StrFormat(
-              "forward payload for minibatch %lld failed its checksum at stage %d",
-              static_cast<long long>(taken->minibatch), rt->stage)};
-        }
-        minibatch = taken->minibatch;
-        message = std::move(*taken);
-        rt->next_forward += 1;
-      }
-      ++rt->fwd_started;
-      rt->DoForward(minibatch, std::move(message));
+    PipeMessage message;
+    if (from_loader) {
+      rt->loader->BatchAt(instr.minibatch, &message.payload, &message.targets);
+      message.input_version = rt->weights->version();
     } else {
-      std::optional<PipeMessage> taken = rt->mailbox->Take(WorkType::kBackward);
+      std::optional<PipeMessage> taken = rt->mailbox->Take(type);
       PD_CHECK(taken.has_value());
-      PD_CHECK_EQ(taken->minibatch, rt->next_backward);
+      PD_CHECK_EQ(taken->minibatch, instr.minibatch);
       if (!VerifyChecksum(*taken)) {
-        throw MessageCorruptionError{StrFormat(
-            "backward payload for minibatch %lld failed its checksum at stage %d",
-            static_cast<long long>(taken->minibatch), rt->stage)};
+        throw MessageCorruptionError{
+            StrFormat("%s payload for minibatch %lld failed its checksum at stage %d",
+                      WorkTypeName(type), static_cast<long long>(instr.minibatch), rt->stage)};
       }
-      rt->next_backward += 1;
-      rt->DoBackward(std::move(*taken));
+      message = std::move(*taken);
+    }
+    if (type == WorkType::kForward) {
+      rt->DoForward(instr.minibatch, std::move(message));
+    } else {
+      rt->DoBackward(std::move(message));
     }
     rt->work_items.fetch_add(1, std::memory_order_release);
     beat_all();
-  }
-  for (StageRuntime* rt : owned) {
-    PD_CHECK_EQ(rt->bwd_done, rt->bwd_quota)
-        << "interleaved worker finished its op list with stage " << rt->stage << " short";
   }
 }
 
@@ -901,7 +686,7 @@ void PipelineTrainer::NoteFailure(StageRuntime* rt, const std::string& reason) {
   }
 }
 
-int64_t PipelineTrainer::EpochLength() const {
+int64_t PipelineTrainer::epoch_length() const {
   // Replicated stages synchronize gradients in rounds of `replicas` minibatches, and GPipe
   // flushes in rounds of `microbatches`; an epoch must be a whole number of every such round
   // or the last collective would wait forever. Truncate to the least common multiple (the
@@ -953,7 +738,7 @@ bool PipelineTrainer::RunRange(int64_t begin, int64_t end, EpochStats* stats) {
   for (StageRuntime* rt : active) {
     // Messages in flight when a previous attempt aborted must not leak into this one.
     rt->mailbox->Clear();
-    rt->PrepareEpoch(begin, end, options_, plan_);
+    rt->PrepareEpoch(begin, end);
     rt->loss_sum = 0.0;
     rt->loss_count = 0;
     rt->epoch_stall_ns = 0;
@@ -967,76 +752,58 @@ bool PipelineTrainer::RunRange(int64_t begin, int64_t end, EpochStats* stats) {
       reducer->Reset();
     }
   }
-  if (flush_barrier_ != nullptr) {
-    flush_barrier_->Reset();
+
+  // Compile this attempt's programs over the active rotation: a degraded stage's survivors
+  // share its minibatches, and a replay starts from the restored epoch boundary.
+  std::vector<int> rotation;
+  for (const auto& stage_active : active_by_stage_) {
+    rotation.push_back(static_cast<int>(stage_active.size()));
   }
+  ProgramSpec spec;
+  spec.kind = options_.schedule;
+  spec.round_size = options_.gpipe_microbatches;
+  spec.chunks = options_.interleave_chunks;
+  spec.accumulation = options_.accumulation_steps;
+  const std::vector<WorkerProgram> programs = CompileSchedule(spec, rotation, begin, end);
+  flush_barrier_ = std::make_unique<FlushBarrier>(static_cast<int>(programs.size()));
 
   const double start = NowSeconds();
-  const bool interleaved = options_.schedule == ScheduleKind::kInterleaved;
-  const int physical_workers =
-      interleaved ? plan_.num_stages() / options_.interleave_chunks : 0;
-  // Every stage replica runs kernels concurrently (one thread per PHYSICAL worker under
-  // kInterleaved, which serializes its chunks); split the shared pool's parallelism between
-  // them so intra-op threading never oversubscribes the machine.
-  const int kernel_budget = KernelBudgetForWorkers(
-      interleaved ? physical_workers : static_cast<int>(active.size()));
+  // Every physical worker runs kernels concurrently; split the shared pool's parallelism
+  // between them so intra-op threading never oversubscribes the machine.
+  const int kernel_budget = KernelBudgetForWorkers(static_cast<int>(programs.size()));
   std::vector<std::thread> threads;
-  if (interleaved) {
-    const std::vector<std::vector<ChunkOp>> ops = BuildInterleavedSchedule(
-        plan_.num_stages(), options_.interleave_chunks, end - begin);
-    threads.reserve(static_cast<size_t>(physical_workers));
-    for (int w = 0; w < physical_workers; ++w) {
-      std::vector<StageRuntime*> owned;
-      for (int s = w; s < plan_.num_stages(); s += physical_workers) {
-        owned.push_back(ActiveRuntime(s));
+  threads.reserve(programs.size());
+  for (const WorkerProgram& program : programs) {
+    std::vector<StageRuntime*> owned;
+    for (const int s : program.stages) {
+      owned.push_back(active_by_stage_[static_cast<size_t>(s)][static_cast<size_t>(program.rank)]);
+    }
+    threads.emplace_back([this, &program, owned = std::move(owned), kernel_budget] {
+      ScopedKernelBudget budget(kernel_budget);
+      obs::SetThreadLabel(owned.size() == 1
+                              ? StrFormat("s%d/r%d", owned[0]->stage, owned[0]->replica)
+                              : StrFormat("w%d", owned[0]->stage));
+      StageRuntime* current = owned.front();
+      const auto finish_all = [&owned] {
+        for (StageRuntime* rt : owned) {
+          rt->done.store(true, std::memory_order_release);
+        }
+      };
+      try {
+        RunWorker(program, owned, &current);
+        finish_all();
+      } catch (const WorkerKilledError& killed) {
+        current->dead.store(true, std::memory_order_release);
+        NoteFailure(current, killed.reason);
+      } catch (const MessageCorruptionError& corrupt) {
+        // The receiver of a corrupt payload is healthy; the minibatch it rejected is what
+        // needs replaying.
+        finish_all();
+        NoteFailure(current, corrupt.reason);
+      } catch (const EpochAbortedError&) {
+        finish_all();
       }
-      std::vector<ChunkOp> worker_ops = ops[static_cast<size_t>(w)];
-      threads.emplace_back([this, w, owned = std::move(owned),
-                            worker_ops = std::move(worker_ops), kernel_budget] {
-        ScopedKernelBudget budget(kernel_budget);
-        obs::SetThreadLabel(StrFormat("w%d", w));
-        StageRuntime* current = owned.front();
-        const auto finish_all = [&owned] {
-          for (StageRuntime* rt : owned) {
-            rt->done.store(true, std::memory_order_release);
-          }
-        };
-        try {
-          RunWorkerInterleaved(owned, worker_ops, &current);
-          finish_all();
-        } catch (const WorkerKilledError& killed) {
-          current->dead.store(true, std::memory_order_release);
-          NoteFailure(current, killed.reason);
-        } catch (const MessageCorruptionError& corrupt) {
-          finish_all();
-          NoteFailure(current, corrupt.reason);
-        } catch (const EpochAbortedError&) {
-          finish_all();
-        }
-      });
-    }
-  } else {
-    threads.reserve(active.size());
-    for (StageRuntime* rt : active) {
-      threads.emplace_back([this, rt, kernel_budget] {
-        ScopedKernelBudget budget(kernel_budget);
-        obs::SetThreadLabel(StrFormat("s%d/r%d", rt->stage, rt->replica));
-        try {
-          rt->RunEpoch();
-          rt->done.store(true, std::memory_order_release);
-        } catch (const WorkerKilledError& killed) {
-          rt->dead.store(true, std::memory_order_release);
-          NoteFailure(rt, killed.reason);
-        } catch (const MessageCorruptionError& corrupt) {
-          // The receiver of a corrupt payload is healthy; the minibatch it rejected is what
-          // needs replaying.
-          rt->done.store(true, std::memory_order_release);
-          NoteFailure(rt, corrupt.reason);
-        } catch (const EpochAbortedError&) {
-          rt->done.store(true, std::memory_order_release);
-        }
-      });
-    }
+    });
   }
 
   // The watchdog classifies two failure shapes the workers cannot self-report: a worker
@@ -1187,8 +954,9 @@ int64_t PipelineTrainer::HandleFailureAndRestore() {
   std::vector<std::pair<int, int>> ejected;
   for (StageRuntime* rt : dead) {
     auto& stage_active = active_by_stage_[static_cast<size_t>(rt->stage)];
+    // With accumulation the survivors of a shrunken rotation could end an epoch on
+    // different numbers of Steps, so only per-minibatch updates eject.
     const bool can_eject = recovery_.allow_degraded && stage_active.size() > 1 &&
-                           options_.schedule == ScheduleKind::kOneFOneB &&
                            options_.accumulation_steps == 1;
     if (can_eject) {
       stage_active.erase(std::find(stage_active.begin(), stage_active.end(), rt));
@@ -1316,10 +1084,10 @@ void PipelineTrainer::MaybeRejoinEjected() {
 
 EpochStats PipelineTrainer::TrainEpoch() {
   MaybeRejoinEjected();
-  const int64_t bpe = EpochLength();
+  const int64_t bpe = epoch_length();
   const int64_t current_epoch = epochs_completed_;
   PD_CHECK_EQ(next_global_minibatch_, current_epoch * bpe)
-      << "epoch grid misaligned (EpochLength must stay constant)";
+      << "epoch grid misaligned (epoch_length must stay constant)";
 
   EpochStats stats;
   const size_t failures_before = failures_.size();

@@ -1,15 +1,18 @@
 // Multi-threaded pipeline-parallel training runtime.
 //
-// One OS thread per stage replica plays the role of a GPU worker: it owns a deep copy of its
-// stage's layers, an optimizer, a versioned weight store, and a scheduling policy from the
-// zoo of docs/SCHEDULES.md (1F1B, GPipe, PipeDream-Flush, interleaved virtual stages), and
-// exchanges activations/gradients with neighbouring stages through mailboxes. Under
-// kInterleaved one thread per *physical worker* instead serializes that worker's chunk-stage
-// runtimes in a statically generated order (src/schedule/interleaved.h). This is the
-// real-numerics counterpart of the cluster simulator: identical minibatch streams can be
-// trained under 1F1B + weight stashing, naive pipelining, vertical sync, GPipe, flush, or
-// BSP data parallelism (a single replicated stage), making statistical-efficiency
-// comparisons (paper §5.2, Figures 11/13) apples-to-apples.
+// One OS thread per physical worker plays the role of a GPU: it owns the stage replicas it
+// hosts (one, or k chunk-stages under kInterleaved), each with a deep copy of its layer
+// slice, an optimizer, and a versioned weight store, and exchanges activations/gradients
+// with neighbouring stages through mailboxes. Every schedule of the zoo
+// (docs/SCHEDULES.md) — 1F1B, GPipe, model parallelism, PipeDream-Flush, interleaved
+// virtual stages — runs the same worker loop over the program CompileSchedule
+// (src/schedule/program.h) emits for the worker: each forward/backward waits for exactly
+// the message it names, Step applies the accumulated gradients, and Flush is the pipeline
+// barrier. The event simulator executes the same programs, so this is its real-numerics
+// counterpart: identical minibatch streams can be trained under 1F1B + weight stashing,
+// naive pipelining, vertical sync, GPipe, flush, or BSP data parallelism (a single
+// replicated stage), making statistical-efficiency comparisons (paper §5.2, Figures 11/13)
+// apples-to-apples.
 //
 // Failure handling (paper §4): when recovery is enabled, every worker emits heartbeats, a
 // watchdog classifies silent workers as dead (and a progress stall as a wedged pipeline),
@@ -17,9 +20,9 @@
 // minibatches are discarded, every stage reloads from the newest complete checkpoint epoch,
 // the dead worker is respawned (or, for a replicated stage, ejected from the gradient
 // all-reduce ring with the 1F1B-RR assignment re-balanced over the survivors), and training
-// replays forward from the restored epoch boundary. Weight stashing makes the replay
-// semantically transparent; with a stateless optimizer it is bitwise identical to an
-// uninterrupted run restored from the same checkpoint.
+// replays forward from the restored epoch boundary under freshly compiled programs. Weight
+// stashing makes the replay semantically transparent; with a stateless optimizer it is
+// bitwise identical to an uninterrupted run restored from the same checkpoint.
 #ifndef SRC_RUNTIME_PIPELINE_TRAINER_H_
 #define SRC_RUNTIME_PIPELINE_TRAINER_H_
 
@@ -43,8 +46,7 @@
 #include "src/runtime/mailbox.h"
 #include "src/runtime/transport.h"
 #include "src/runtime/weight_store.h"
-#include "src/schedule/interleaved.h"
-#include "src/schedule/policy.h"
+#include "src/schedule/program.h"
 #include "src/simexec/pipeline_sim.h"
 
 namespace pipedream {
@@ -68,8 +70,8 @@ struct PipelineTrainerOptions {
   // Virtual chunk-stages per physical worker for ScheduleKind::kInterleaved: the (straight)
   // plan's num_stages must be divisible by this, chunk-stage s runs on physical worker
   // s mod (num_stages / interleave_chunks), and each worker executes its chunks' ops in the
-  // statically generated order of BuildInterleavedSchedule (src/schedule/interleaved.h).
-  // The PIPEDREAM_CHUNKS env variable takes precedence. Ignored by other schedules.
+  // compiled order (src/schedule/program.h). The PIPEDREAM_CHUNKS env variable takes
+  // precedence. Ignored by other schedules.
   int interleave_chunks = 1;
   // Activation recomputation (§3.3 / Chen et al.): stash only each minibatch's stage *input*
   // and re-run the forward pass (under the stashed weights) just before the backward,
@@ -171,6 +173,11 @@ class PipelineTrainer {
   EpochStats TrainEpoch();
 
   int64_t batches_per_epoch() const;
+  // Epoch length in minibatches: batches_per_epoch (or the epoch_length option) truncated
+  // to a whole number of every synchronization round — replica all-reduce rounds, flush
+  // rounds, and accumulation boundaries. Constant across the trainer's lifetime (epoch
+  // boundaries must stay aligned across recoveries).
+  int64_t epoch_length() const;
   int64_t epochs_completed() const { return epochs_completed_; }
 
   // Every failure detected over the trainer's lifetime, in detection order.
@@ -228,20 +235,15 @@ class PipelineTrainer {
   StageRuntime* RuntimeFor(int stage, int64_t minibatch) const;
   StageRuntime* ActiveRuntime(int stage) const;  // replica 0 of the active rotation
 
-  // Epoch length in minibatches: batches_per_epoch truncated to a whole number of every
-  // synchronization round. Constant across the trainer's lifetime (epoch boundaries must
-  // stay aligned across recoveries).
-  int64_t EpochLength() const;
-
   // Runs the workers (and watchdog) over [begin, end). Returns false if the attempt was
   // aborted by a failure.
   bool RunRange(int64_t begin, int64_t end, EpochStats* stats);
 
-  // Executes one physical worker's statically generated interleaved op list strictly in
-  // order over its owned chunk-stage runtimes (kInterleaved only). `*current` tracks the
-  // runtime of the op being executed so a thrown failure is attributed to the right stage.
-  void RunWorkerInterleaved(const std::vector<StageRuntime*>& owned,
-                            const std::vector<ChunkOp>& ops, StageRuntime** current);
+  // Executes one physical worker's compiled program strictly in order over the stage
+  // runtimes it hosts. `*current` tracks the runtime of the instruction being executed so a
+  // thrown failure is attributed to the right stage.
+  void RunWorker(const WorkerProgram& program, const std::vector<StageRuntime*>& owned,
+                 StageRuntime** current);
 
   // Checksums + injects + routes one boundary message (called from worker threads).
   void Send(StageRuntime* from, int dest_stage, PipeMessage message);
@@ -281,7 +283,7 @@ class PipelineTrainer {
   std::vector<std::vector<StageRuntime*>> by_stage_;              // [stage][replica], fixed
   std::vector<std::vector<StageRuntime*>> active_by_stage_;       // shrinks on ejection
   std::vector<std::unique_ptr<GradientAllReducer>> stage_reducers_;
-  std::unique_ptr<FlushBarrier> flush_barrier_;                   // flush-family schedules
+  std::unique_ptr<FlushBarrier> flush_barrier_;  // kFlush instructions; one per attempt
   std::optional<bool> recompute_override_;  // PIPEDREAM_RECOMPUTE, when set
   int64_t epochs_completed_ = 0;
   int64_t next_global_minibatch_ = 0;

@@ -29,6 +29,11 @@ struct TraceEvent {
 class ExecutionTrace {
  public:
   void Add(TraceEvent event) { events_.push_back(event); }
+  // Drops the events matching `pred` (a restart discards the work it rolls back).
+  template <typename Predicate>
+  void EraseIf(Predicate pred) {
+    std::erase_if(events_, pred);
+  }
 
   const std::vector<TraceEvent>& events() const { return events_; }
   size_t size() const { return events_.size(); }

@@ -1,4 +1,4 @@
-// Work-item vocabulary shared by the scheduler policies, the event-driven simulator, and the
+// Work-item vocabulary shared by the schedule compiler, the event-driven simulator, and the
 // threaded runtime.
 #ifndef SRC_SCHEDULE_WORK_H_
 #define SRC_SCHEDULE_WORK_H_

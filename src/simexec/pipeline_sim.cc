@@ -8,8 +8,7 @@
 #include "src/common/logging.h"
 #include "src/planner/memory_model.h"
 #include "src/planner/partitioner.h"
-#include "src/schedule/interleaved.h"
-#include "src/schedule/policy.h"
+#include "src/schedule/program.h"
 #include "src/sim/engine.h"
 
 namespace pipedream {
@@ -22,6 +21,7 @@ class PipelineSimulation {
                      const HardwareTopology& topology, const SimOptions& options)
       : profile_(profile), plan_(plan), topology_(topology), options_(options) {
     plan.Validate(profile.num_layers());
+    const char* schedule = ScheduleKindName(options.schedule);
     if (!options.worker_speeds.empty()) {
       PD_CHECK_GE(static_cast<int>(options.worker_speeds.size()), topology.num_workers())
           << "worker_speeds must cover every topology worker";
@@ -31,14 +31,31 @@ class PipelineSimulation {
     }
     if (options.fault.replan || options.fault.join_enabled) {
       PD_CHECK(options.schedule == ScheduleKind::kOneFOneB)
-          << "elastic re-planning requires a 1F1B schedule";
+          << "elastic re-planning requires a 1F1B schedule, not " << schedule;
+    }
+    if (options.fault.enabled && options.fault.degraded && !options.fault.replan) {
+      PD_CHECK(options.fault.stage >= 0 && options.fault.stage < plan.num_stages() &&
+               plan.stage(options.fault.stage).replicas > 1)
+          << "degraded recovery ejects a replica, but stage " << options.fault.stage
+          << " is not replicated";
+    }
+    if (IsFlushFamily(options.schedule)) {
+      PD_CHECK_EQ(plan.total_workers(), plan.num_stages())
+          << "the " << schedule << " schedule requires an unreplicated pipeline";
+    }
+    if (options.pipeline_depth_override > 1) {
+      // The override clamps stage s to override - s forwards in flight whatever its replica
+      // count, which starves a replicated stage of its round-robin share and deadlocks.
+      PD_CHECK_EQ(plan.total_workers(), plan.num_stages())
+          << "pipeline_depth_override " << options.pipeline_depth_override
+          << " above 1 requires an unreplicated plan";
     }
     if (Interleaved()) {
-      PD_CHECK(plan.IsStraight()) << "interleaved simulation requires an unreplicated plan";
+      PD_CHECK_EQ(plan.total_workers(), plan.num_stages())
+          << "interleaved simulation requires an unreplicated plan";
       PD_CHECK_GE(options.interleave_chunks, 1);
       PD_CHECK(plan.num_stages() % options.interleave_chunks == 0)
           << "interleaving needs num_stages divisible by interleave_chunks";
-      PD_CHECK(!options.fault.enabled) << "fault injection is not modelled for interleaved";
       PD_CHECK_EQ(options.pipeline_depth_override, 0)
           << "pipeline_depth_override does not apply to the static interleaved schedule";
     }
@@ -58,27 +75,33 @@ class PipelineSimulation {
   SimResult Run();
 
  private:
+  struct Worker;
+
+  // One slot of a stage's round-robin rotation.
   struct Replica {
     int stage = 0;
     int replica = 0;
-    int worker = 0;
-    bool failed = false;  // victim of an injected fault; dispatches nothing until restart
-    std::set<int64_t> ready_forward;   // arrived activations (non-input stages)
-    std::set<int64_t> ready_backward;  // arrived gradients (or local loss at the last stage)
-    std::unique_ptr<SchedulingPolicy> policy;
-    bool busy = false;
-    int64_t next_admission = 0;  // input stage: next minibatch id in this replica's share
-    int in_flight = 0;           // input stage: admitted but not yet backward-complete
-    int admission_cap = 1;
+    int worker = 0;          // topology id of the hosting device
+    Worker* host = nullptr;  // the program that runs this replica's ops
+    // Arrived activations / gradients, indexed by minibatch - first_minibatch_.
+    std::vector<bool> arrived_forward;
+    std::vector<bool> arrived_backward;
     int stash = 0;
     int peak_stash = 0;
     double fwd_seconds = 0.0;  // stage compute scaled by this worker's 1/speed
     double bwd_seconds = 0.0;
     SimTime busy_time;
-    int64_t fwd_started = 0;
-    int64_t fwd_quota = 0;  // total forwards this replica will ever run
     int64_t bwd_done = 0;
     ResourceTimeline egress;  // NIC send port, serializes outgoing transfers
+  };
+
+  // One physical device executing its compiled program strictly in order.
+  struct Worker {
+    WorkerProgram program;
+    size_t pc = 0;
+    bool busy = false;
+    bool failed = false;    // victim of an injected fault; runs nothing until restart
+    bool at_flush = false;  // arrived at the current flush barrier
   };
 
   struct StageInfo {
@@ -89,13 +112,11 @@ class PipelineSimulation {
     int64_t boundary_out_bytes = 0;     // activation shipped to the next stage
     double sync_seconds = 0.0;          // ring all_reduce wall time per sync round
     int bwd_in_round = 0;               // progress toward the next weight-sync collective
-    int64_t rounds_started = 0;         // collectives launched
     int64_t rounds_synced = 0;          // collectives finished
     ResourceTimeline sync_timeline;
   };
 
   void BuildStages();
-  void TryDispatchInterleaved(int physical_worker);
   double SpeedOf(int worker) const {
     if (options_.worker_speeds.empty()) {
       return 1.0;
@@ -108,32 +129,30 @@ class PipelineSimulation {
   PipelinePlan ReplanOverLive() const;
   void JoinRestart();
   Replica* ReplicaFor(int stage, int64_t minibatch);
-  void TryDispatch(Replica* r);
-  void OnComplete(Replica* r, WorkType type, int64_t minibatch);
+  void TryDispatch(Worker* w);
+  void ArriveAtFlush(Worker* w);
+  void OnComplete(Worker* w, Replica* r, WorkType type, int64_t minibatch);
   void SendBoundary(Replica* from, int dest_stage, int64_t minibatch, WorkType type);
-  void MaybeFlushGPipe();
-  void FireFault(Replica* victim);
+  void FireFault(Worker* victim);
   void Restart();
-  bool IsGPipeLike() const { return IsFlushFamily(options_.schedule); }
+  // Ends the current incarnation: merges its accounting, drops the trace of work that
+  // will re-execute from `first_minibatch`, and rebuilds everything from the plan.
+  void Reincarnate(int64_t first_minibatch);
   bool Interleaved() const { return options_.schedule == ScheduleKind::kInterleaved; }
-  int InterleavedWorkers() const { return plan_.num_stages() / options_.interleave_chunks; }
   int RoundSize() const {
     return options_.schedule == ScheduleKind::kModelParallel ? 1 : options_.gpipe_microbatches;
   }
   // Resolved weight mode for a stage: global override wins, otherwise the plan's per-stage
   // assignment; flush-family schedules drain between rounds so versioning never applies.
   WeightMode StageMode(int s) const {
-    if (IsGPipeLike()) {
+    if (IsFlushFamily(options_.schedule)) {
       return WeightMode::kNaive;
     }
     return options_.weight_mode ? *options_.weight_mode : plan_.stage(s).weight_mode;
   }
   // Resolved activation recomputation for a stage: global override wins, otherwise the
-  // plan's per-stage flag; the legacy gpipe_discard_activations switch also counts.
+  // plan's per-stage flag.
   bool StageRecompute(int s) const {
-    if (IsGPipeLike() && options_.gpipe_discard_activations) {
-      return true;
-    }
     return options_.recompute.value_or(plan_.stage(s).recompute);
   }
   // Backwards per replica between weight-sync collectives (gradient accumulation).
@@ -150,26 +169,19 @@ class PipelineSimulation {
   std::vector<StageInfo> stages_;
   std::vector<std::vector<std::unique_ptr<Replica>>> replicas_;  // [stage][replica]
   std::vector<Replica*> all_replicas_;
+  std::vector<std::unique_ptr<Worker>> workers_;
+  size_t flush_arrivals_ = 0;
 
   double comm_bytes_ = 0.0;
   int64_t completed_minibatches_ = 0;
   std::vector<SimTime> completion_times_;
-  int64_t round_bwd_done_ = 0;  // flush family: backwards finished in the current round
-  int64_t current_round_ = 0;
   ExecutionTrace trace_;
 
-  // --- interleaved execution: each physical worker runs its statically generated op list
-  // strictly in order; the cursor advances only when an op completes, and the per-worker
-  // busy flag serializes its chunks on the shared device.
-  std::vector<std::vector<ChunkOp>> interleaved_ops_;   // [physical worker]
-  std::vector<size_t> interleaved_cursor_;
-  std::vector<bool> interleaved_worker_busy_;
-
-  // --- failure state. A restart rebuilds stages_/replicas_ from scratch; events scheduled
-  // by the previous incarnation are cancelled by the incarnation counter (they check it
-  // before touching any state, so dangling Replica pointers are never dereferenced).
+  // --- failure state. A restart rebuilds stages_/replicas_/workers_ from scratch; events
+  // scheduled by the previous incarnation are cancelled by the incarnation counter (they
+  // check it before touching any state, so dangling pointers are never dereferenced).
   uint64_t incarnation_ = 0;
-  int64_t first_minibatch_ = 0;  // this incarnation admits [first_minibatch_, num_minibatches)
+  int64_t first_minibatch_ = 0;  // this incarnation runs [first_minibatch_, num_minibatches)
   std::set<int> live_workers_;   // topology ids currently in the plan
   int replans_ = 0;
   double replan_latency_seconds_ = 0.0;
@@ -185,25 +197,22 @@ class PipelineSimulation {
 
 void PipelineSimulation::BuildStages() {
   const int num_stages = plan_.num_stages();
-  if (IsGPipeLike()) {
-    PD_CHECK(plan_.IsStraight() || num_stages == 1)
-        << "GPipe/model-parallel simulation requires an unreplicated pipeline";
-  }
+  const size_t slots = static_cast<size_t>(options_.num_minibatches - first_minibatch_);
   stages_.resize(static_cast<size_t>(num_stages));
   replicas_.resize(static_cast<size_t>(num_stages));
+  std::vector<int> rotation;
   for (int s = 0; s < num_stages; ++s) {
     const StageAssignment& assignment = plan_.stage(s);
+    rotation.push_back(assignment.replicas);
     StageInfo& info = stages_[static_cast<size_t>(s)];
     for (int l = assignment.begin_layer; l < assignment.end_layer; ++l) {
       info.fwd_seconds += profile_.layers[static_cast<size_t>(l)].fwd_seconds;
       info.bwd_seconds += profile_.layers[static_cast<size_t>(l)].bwd_seconds;
     }
-    if (options_.recompute.value_or(assignment.recompute)) {
+    if (StageRecompute(s)) {
       // Activation recomputation: the backward first re-runs the stage's forward from the
       // stashed boundary input.
       info.bwd_seconds += info.fwd_seconds;
-    } else if (IsGPipeLike() && options_.gpipe_recompute_overhead > 0.0) {
-      info.bwd_seconds += options_.gpipe_recompute_overhead * info.fwd_seconds;
     }
     info.weight_bytes = profile_.ParamBytes(assignment.begin_layer, assignment.end_layer);
     info.activation_bytes =
@@ -227,52 +236,35 @@ void PipelineSimulation::BuildStages() {
                           static_cast<double>(info.weight_bytes) /
                           (divisor * level.effective_collective_bandwidth());
     }
+  }
 
-    for (int r = 0; r < assignment.replicas; ++r) {
+  ProgramSpec spec;
+  spec.kind = options_.schedule;
+  spec.round_size = options_.gpipe_microbatches;
+  spec.chunks = options_.interleave_chunks;
+  spec.accumulation = options_.accumulation_steps;
+  spec.depth_override = options_.pipeline_depth_override;
+  for (WorkerProgram& program :
+       CompileSchedule(spec, rotation, first_minibatch_, options_.num_minibatches)) {
+    auto worker = std::make_unique<Worker>();
+    worker->program = std::move(program);
+    // An interleaved worker w is the device of stage w, and hosts its later chunks too.
+    const int device =
+        plan_.stage(worker->program.stages[0]).workers[static_cast<size_t>(worker->program.rank)];
+    for (const int s : worker->program.stages) {
       auto replica = std::make_unique<Replica>();
       replica->stage = s;
-      replica->replica = r;
-      replica->worker = Interleaved()
-                            ? plan_.stage(s % InterleavedWorkers()).workers[0]
-                            : assignment.workers[static_cast<size_t>(r)];
-      replica->fwd_seconds = info.fwd_seconds / SpeedOf(replica->worker);
-      replica->bwd_seconds = info.bwd_seconds / SpeedOf(replica->worker);
-      // This replica's round-robin share of [first_minibatch_, num_minibatches). The range
-      // start is not necessarily a multiple of the replica count after a mid-run restart, so
-      // align on the residue class.
-      const int64_t first =
-          first_minibatch_ +
-          ((r - first_minibatch_) % assignment.replicas + assignment.replicas) %
-              assignment.replicas;
-      replica->next_admission = first;
-      for (int64_t b = first; b < options_.num_minibatches; b += assignment.replicas) {
-        ++replica->fwd_quota;
-      }
-      if (IsGPipeLike()) {
-        if (options_.schedule == ScheduleKind::kPipeDreamFlush) {
-          replica->policy =
-              std::make_unique<PipeDreamFlushPolicy>(StartupDepth(plan_, s), RoundSize());
-        } else {
-          replica->policy = std::make_unique<GPipePolicy>(RoundSize());
-        }
-        replica->admission_cap = RoundSize();
-      } else {
-        int depth = StartupDepth(plan_, s);
-        if (options_.pipeline_depth_override > 0) {
-          depth = std::max(1, std::min(depth, options_.pipeline_depth_override - s));
-        }
-        replica->policy = std::make_unique<OneFOneBPolicy>(depth);
-        replica->admission_cap = depth;
-      }
+      replica->replica = worker->program.rank;
+      replica->worker = device;
+      replica->host = worker.get();
+      replica->arrived_forward.assign(slots, false);
+      replica->arrived_backward.assign(slots, false);
+      replica->fwd_seconds = stages_[static_cast<size_t>(s)].fwd_seconds / SpeedOf(device);
+      replica->bwd_seconds = stages_[static_cast<size_t>(s)].bwd_seconds / SpeedOf(device);
       all_replicas_.push_back(replica.get());
       replicas_[static_cast<size_t>(s)].push_back(std::move(replica));
     }
-  }
-  if (Interleaved()) {
-    interleaved_ops_ = BuildInterleavedSchedule(num_stages, options_.interleave_chunks,
-                                                options_.num_minibatches);
-    interleaved_cursor_.assign(interleaved_ops_.size(), 0);
-    interleaved_worker_busy_.assign(interleaved_ops_.size(), false);
+    workers_.push_back(std::move(worker));
   }
 }
 
@@ -281,144 +273,94 @@ PipelineSimulation::Replica* PipelineSimulation::ReplicaFor(int stage, int64_t m
   return replicas_[static_cast<size_t>(stage)][static_cast<size_t>(r)].get();
 }
 
-void PipelineSimulation::TryDispatch(Replica* r) {
-  if (Interleaved()) {
-    // The op order is static; the only question is whether the physical worker hosting
-    // this chunk can run its next listed op yet.
-    TryDispatchInterleaved(r->stage % InterleavedWorkers());
-    return;
-  }
-  if (r->busy || r->failed) {
-    return;
-  }
-  // Input-stage forward availability = admission control; other stages consume arrivals.
-  int ready_fwd;
-  if (r->stage == 0) {
-    const bool have_data = r->next_admission < options_.num_minibatches;
-    bool admit = have_data;
-    if (IsGPipeLike()) {
-      // Only admit microbatches of the current flush round.
-      admit = have_data && r->next_admission / RoundSize() <= current_round_;
-    } else {
-      admit = have_data && r->in_flight < r->admission_cap;
+void PipelineSimulation::TryDispatch(Worker* w) {
+  const std::vector<Instr>& instrs = w->program.instrs;
+  while (!w->busy && !w->failed && w->pc < instrs.size()) {
+    const Instr& instr = instrs[w->pc];
+    if (instr.op == OpCode::kStep) {
+      // The update itself is charged 0; replicated stages pay their weight-sync
+      // collective as backwards complete (OnComplete).
+      ++w->pc;
+      continue;
     }
-    ready_fwd = admit ? 1 : 0;
-  } else {
-    ready_fwd = static_cast<int>(r->ready_forward.size());
-  }
-  int ready_bwd = static_cast<int>(r->ready_backward.size());
-  // BSP gating for replicated stages: at most one weight-sync collective may be outstanding,
-  // so a replica cannot run the backward of round k until round k-2's gradients finished
-  // synchronizing. This is what throttles sync-bound stages (including vanilla DP, the
-  // single-replicated-stage special case) to the all_reduce rate.
-  const StageInfo& stage_info = stages_[static_cast<size_t>(r->stage)];
-  if (ready_bwd > 0 && plan_.stage(r->stage).replicas > 1 &&
-      r->bwd_done > (stage_info.rounds_synced + 1) * SyncRoundPerReplica()) {
-    ready_bwd = 0;
-  }
-  const bool exhausted = r->stage == 0 ? r->next_admission >= options_.num_minibatches
-                                       : r->fwd_started == r->fwd_quota;
-
-  const std::optional<WorkType> action = r->policy->Decide(ready_fwd, ready_bwd, exhausted);
-  if (!action.has_value()) {
-    return;
-  }
-
-  int64_t minibatch;
-  double duration;
-  if (*action == WorkType::kForward) {
-    if (r->stage == 0) {
-      minibatch = r->next_admission;
-      r->next_admission += plan_.stage(0).replicas;
-      ++r->in_flight;
-    } else {
-      minibatch = *r->ready_forward.begin();
-      r->ready_forward.erase(r->ready_forward.begin());
-    }
-    ++r->stash;
-    ++r->fwd_started;
-    r->peak_stash = std::max(r->peak_stash, r->stash);
-    duration = r->fwd_seconds;
-  } else {
-    minibatch = *r->ready_backward.begin();
-    r->ready_backward.erase(r->ready_backward.begin());
-    duration = r->bwd_seconds;
-  }
-
-  // Injected device failure: the victim dies on the threshold of this work item. Its state
-  // is left as-is (the restart discards the whole incarnation anyway); the rest of the
-  // pipeline keeps running until it starves, which is exactly the throughput dip.
-  if (options_.fault.enabled && !fault_fired_ && r->stage == options_.fault.stage &&
-      r->replica == options_.fault.replica && minibatch >= options_.fault.at_minibatch) {
-    FireFault(r);
-    return;
-  }
-
-  r->busy = true;
-  r->policy->OnStarted(*action);
-  const SimTime start = engine_.now();
-  const SimTime dur = SimTime::FromSeconds(duration);
-  if (options_.record_trace) {
-    trace_.Add({r->worker, r->stage, *action, minibatch, start, start + dur});
-  }
-  r->busy_time += dur;
-  engine_.ScheduleAfter(dur, [this, r, type = *action, minibatch, inc = incarnation_] {
-    if (inc != incarnation_) {
-      return;  // event from a pre-restart incarnation; r may dangle — do not touch it
-    }
-    OnComplete(r, type, minibatch);
-  });
-}
-
-void PipelineSimulation::TryDispatchInterleaved(int physical_worker) {
-  const size_t w = static_cast<size_t>(physical_worker);
-  if (interleaved_worker_busy_[w] || interleaved_cursor_[w] >= interleaved_ops_[w].size()) {
-    return;
-  }
-  const ChunkOp op = interleaved_ops_[w][interleaved_cursor_[w]];
-  Replica* r = replicas_[static_cast<size_t>(op.stage)][0].get();
-  int64_t minibatch;
-  double duration;
-  if (op.type == WorkType::kForward) {
-    if (r->stage == 0) {
-      // Admission control is baked into the generated list (the generator ran the NOAM
-      // gate); in_flight is kept for accounting only.
-      PD_CHECK_LT(r->next_admission, options_.num_minibatches);
-      minibatch = r->next_admission;
-      ++r->next_admission;
-      ++r->in_flight;
-    } else {
-      if (r->ready_forward.empty()) {
-        return;  // the listed op's input has not arrived yet
-      }
-      minibatch = *r->ready_forward.begin();
-      r->ready_forward.erase(r->ready_forward.begin());
-    }
-    ++r->stash;
-    ++r->fwd_started;
-    r->peak_stash = std::max(r->peak_stash, r->stash);
-    duration = r->fwd_seconds;
-  } else {
-    if (r->ready_backward.empty()) {
+    if (instr.op == OpCode::kFlush) {
+      ArriveAtFlush(w);
       return;
     }
-    minibatch = *r->ready_backward.begin();
-    r->ready_backward.erase(r->ready_backward.begin());
-    duration = r->bwd_seconds;
+    Replica* r = replicas_[static_cast<size_t>(instr.stage)]
+                          [static_cast<size_t>(w->program.rank)].get();
+    const size_t slot = static_cast<size_t>(instr.minibatch - first_minibatch_);
+    const WorkType type = WorkTypeOf(instr.op);
+    if (type == WorkType::kForward) {
+      if (r->stage > 0 && !r->arrived_forward[slot]) {
+        return;  // the named activation has not arrived yet
+      }
+    } else {
+      if (!r->arrived_backward[slot]) {
+        return;
+      }
+      // BSP gating for replicated stages: at most one weight-sync collective may be
+      // outstanding, so a replica cannot run the backward of round k until round k-2's
+      // gradients finished synchronizing. This is what throttles sync-bound stages
+      // (including vanilla DP, the single-replicated-stage special case) to the all_reduce
+      // rate.
+      const StageInfo& stage = stages_[static_cast<size_t>(r->stage)];
+      if (plan_.stage(r->stage).replicas > 1 &&
+          r->bwd_done > (stage.rounds_synced + 1) * SyncRoundPerReplica()) {
+        return;
+      }
+    }
+    // Injected device failure: the victim dies on the threshold of this work item. The rest
+    // of the pipeline keeps running until it starves, which is exactly the throughput dip.
+    if (options_.fault.enabled && !fault_fired_ && r->stage == options_.fault.stage &&
+        r->replica == options_.fault.replica &&
+        instr.minibatch >= options_.fault.at_minibatch) {
+      FireFault(w);
+      return;
+    }
+    ++w->pc;
+    w->busy = true;
+    double duration = r->bwd_seconds;
+    if (type == WorkType::kForward) {
+      ++r->stash;
+      r->peak_stash = std::max(r->peak_stash, r->stash);
+      duration = r->fwd_seconds;
+    }
+    const SimTime start = engine_.now();
+    const SimTime dur = SimTime::FromSeconds(duration);
+    if (options_.record_trace) {
+      trace_.Add({r->worker, r->stage, type, instr.minibatch, start, start + dur});
+    }
+    r->busy_time += dur;
+    engine_.ScheduleAfter(dur, [this, w, r, type, minibatch = instr.minibatch,
+                                inc = incarnation_] {
+      if (inc != incarnation_) {
+        return;  // event from a pre-restart incarnation; w and r may dangle
+      }
+      OnComplete(w, r, type, minibatch);
+    });
+    return;
   }
-  ++interleaved_cursor_[w];
-  interleaved_worker_busy_[w] = true;
-  r->busy = true;
-  const SimTime start = engine_.now();
-  const SimTime dur = SimTime::FromSeconds(duration);
-  if (options_.record_trace) {
-    trace_.Add({r->worker, r->stage, op.type, minibatch, start, start + dur});
+}
+
+void PipelineSimulation::ArriveAtFlush(Worker* w) {
+  if (w->at_flush) {
+    return;
   }
-  r->busy_time += dur;
-  engine_.ScheduleAfter(dur, [this, r, w, type = op.type, minibatch] {
-    interleaved_worker_busy_[w] = false;
-    OnComplete(r, type, minibatch);
-  });
+  w->at_flush = true;
+  if (++flush_arrivals_ < workers_.size()) {
+    return;
+  }
+  // Pipeline flush: every stage applied its aggregated update, so the next round may
+  // enter. Update time is negligible relative to compute and is charged 0.
+  flush_arrivals_ = 0;
+  for (auto& worker : workers_) {
+    worker->at_flush = false;
+    ++worker->pc;
+  }
+  for (auto& worker : workers_) {
+    TryDispatch(worker.get());
+  }
 }
 
 void PipelineSimulation::SendBoundary(Replica* from, int dest_stage, int64_t minibatch,
@@ -447,35 +389,13 @@ void PipelineSimulation::SendBoundary(Replica* from, int dest_stage, int64_t min
     if (inc != incarnation_) {
       return;
     }
-    if (type == WorkType::kForward) {
-      dest->ready_forward.insert(minibatch);
-    } else {
-      dest->ready_backward.insert(minibatch);
-    }
-    TryDispatch(dest);
+    const size_t slot = static_cast<size_t>(minibatch - first_minibatch_);
+    (type == WorkType::kForward ? dest->arrived_forward : dest->arrived_backward)[slot] = true;
+    TryDispatch(dest->host);
   });
 }
 
-void PipelineSimulation::MaybeFlushGPipe() {
-  const int64_t round_start = current_round_ * RoundSize();
-  const int64_t round_size =
-      std::min<int64_t>(RoundSize(), options_.num_minibatches - round_start);
-  if (round_bwd_done_ < round_size * plan_.num_stages()) {
-    return;
-  }
-  // Pipeline flush: every stage applies its aggregated weight update, then the next round's
-  // microbatches may enter. Update time is negligible relative to compute and is charged 0.
-  round_bwd_done_ = 0;
-  ++current_round_;
-  for (Replica* r : all_replicas_) {
-    static_cast<RoundPolicy*>(r->policy.get())->OnFlushComplete();
-  }
-  for (Replica* r : all_replicas_) {
-    TryDispatch(r);
-  }
-}
-
-void PipelineSimulation::FireFault(Replica* victim) {
+void PipelineSimulation::FireFault(Worker* victim) {
   fault_fired_ = true;
   victim->failed = true;
   fault_time_ = engine_.now();
@@ -492,24 +412,14 @@ void PipelineSimulation::FireFault(Replica* victim) {
 
 void PipelineSimulation::Restart() {
   completed_at_failure_ = completed_minibatches_;
-  // Durable progress: roll back to the newest checkpoint boundary (and, under GPipe, to a
-  // whole flush round so the round accounting re-aligns).
+  // Durable progress: roll back to the newest checkpoint boundary (and, under the flush
+  // family, to a whole round so the rounds re-align).
   const int64_t granularity = std::max<int64_t>(1, options_.fault.checkpoint_every);
   restart_from_ = completed_at_failure_ / granularity * granularity;
-  if (IsGPipeLike()) {
+  if (IsFlushFamily(options_.schedule)) {
     restart_from_ = restart_from_ / RoundSize() * RoundSize();
   }
   recovery_time_ = engine_.now();
-
-  // Merge the dying incarnation's per-worker accounting before discarding it.
-  if (stage_peak_stash_merged_.size() < stages_.size()) {
-    stage_peak_stash_merged_.resize(stages_.size(), 0);
-  }
-  for (Replica* r : all_replicas_) {
-    worker_busy_seconds_[static_cast<size_t>(r->worker)] += r->busy_time.ToSeconds();
-    stage_peak_stash_merged_[static_cast<size_t>(r->stage)] = std::max(
-        stage_peak_stash_merged_[static_cast<size_t>(r->stage)], r->peak_stash);
-  }
 
   if (options_.fault.replan) {
     // Elastic restart: the victim leaves the cluster for good and the partitioner re-plans
@@ -528,26 +438,11 @@ void PipelineSimulation::Restart() {
     // minibatch assignment rebalanced over the smaller rotation.
     std::vector<StageAssignment> stages = plan_.stages();
     StageAssignment& victim_stage = stages[static_cast<size_t>(options_.fault.stage)];
-    PD_CHECK_GT(victim_stage.replicas, 1)
-        << "cannot eject the only replica of stage " << options_.fault.stage;
     victim_stage.workers.erase(victim_stage.workers.begin() + options_.fault.replica);
     --victim_stage.replicas;
     plan_ = PipelinePlan(std::move(stages));
   }
-
-  // New incarnation: every event the old one scheduled is now inert.
-  ++incarnation_;
-  stages_.clear();
-  replicas_.clear();
-  all_replicas_.clear();
-  first_minibatch_ = restart_from_;
-  completed_minibatches_ = restart_from_;
-  round_bwd_done_ = 0;
-  current_round_ = IsGPipeLike() ? restart_from_ / RoundSize() : 0;
-  BuildStages();
-  for (Replica* r : all_replicas_) {
-    TryDispatch(r);
-  }
+  Reincarnate(restart_from_);
 }
 
 PipelinePlan PipelineSimulation::ReplanOverLive() const {
@@ -580,6 +475,14 @@ PipelinePlan PipelineSimulation::ReplanOverLive() const {
 void PipelineSimulation::JoinRestart() {
   // Quiesce-and-migrate at a checkpoint boundary: completed work survives (the boundary
   // writes a fresh plan-tagged checkpoint), only in-flight minibatches re-execute.
+  live_workers_.insert(options_.fault.join_worker);
+  plan_ = ReplanOverLive();
+  ++replans_;
+  replan_latency_seconds_ += options_.fault.replan_seconds;
+  Reincarnate(completed_minibatches_);
+}
+
+void PipelineSimulation::Reincarnate(int64_t first_minibatch) {
   if (stage_peak_stash_merged_.size() < stages_.size()) {
     stage_peak_stash_merged_.resize(stages_.size(), 0);
   }
@@ -588,25 +491,27 @@ void PipelineSimulation::JoinRestart() {
     stage_peak_stash_merged_[static_cast<size_t>(r->stage)] = std::max(
         stage_peak_stash_merged_[static_cast<size_t>(r->stage)], r->peak_stash);
   }
-  live_workers_.insert(options_.fault.join_worker);
-  plan_ = ReplanOverLive();
-  ++replans_;
-  replan_latency_seconds_ += options_.fault.replan_seconds;
+  // The trace records the execution that stuck: rolled-back work re-runs and is traced
+  // again by the new incarnation.
+  trace_.EraseIf(
+      [first_minibatch](const TraceEvent& e) { return e.minibatch >= first_minibatch; });
+  // New incarnation: every event the old one scheduled is now inert.
   ++incarnation_;
   stages_.clear();
   replicas_.clear();
   all_replicas_.clear();
-  first_minibatch_ = completed_minibatches_;
-  round_bwd_done_ = 0;
-  current_round_ = 0;
+  workers_.clear();
+  flush_arrivals_ = 0;
+  first_minibatch_ = first_minibatch;
+  completed_minibatches_ = first_minibatch;
   BuildStages();
-  for (Replica* r : all_replicas_) {
-    TryDispatch(r);
+  for (auto& worker : workers_) {
+    TryDispatch(worker.get());
   }
 }
 
-void PipelineSimulation::OnComplete(Replica* r, WorkType type, int64_t minibatch) {
-  r->busy = false;
+void PipelineSimulation::OnComplete(Worker* w, Replica* r, WorkType type, int64_t minibatch) {
+  w->busy = false;
   StageInfo& stage = stages_[static_cast<size_t>(r->stage)];
   const int num_stages = plan_.num_stages();
 
@@ -615,7 +520,7 @@ void PipelineSimulation::OnComplete(Replica* r, WorkType type, int64_t minibatch
       SendBoundary(r, r->stage + 1, minibatch, WorkType::kForward);
     } else {
       // Output stage: the loss gradient is local; the backward is immediately ready.
-      r->ready_backward.insert(minibatch);
+      r->arrived_backward[static_cast<size_t>(minibatch - first_minibatch_)] = true;
     }
   } else {
     --r->stash;
@@ -623,7 +528,6 @@ void PipelineSimulation::OnComplete(Replica* r, WorkType type, int64_t minibatch
     if (r->stage > 0) {
       SendBoundary(r, r->stage - 1, minibatch, WorkType::kBackward);
     } else {
-      --r->in_flight;
       ++completed_minibatches_;
       completion_times_.push_back(engine_.now());
       // Elastic join: once enough minibatches completed, the new worker is admitted after
@@ -649,7 +553,6 @@ void PipelineSimulation::OnComplete(Replica* r, WorkType type, int64_t minibatch
       // contribute to each synchronized update.
       if (++stage.bwd_in_round == replicas * SyncRoundPerReplica()) {
         stage.bwd_in_round = 0;
-        ++stage.rounds_started;
         const SimTime start = stage.sync_timeline.Acquire(
             engine_.now(), SimTime::FromSeconds(stage.sync_seconds));
         comm_bytes_ += 2.0 * static_cast<double>(replicas - 1) *
@@ -663,22 +566,18 @@ void PipelineSimulation::OnComplete(Replica* r, WorkType type, int64_t minibatch
                              }
                              ++stage_ptr->rounds_synced;
                              for (auto& replica : replicas_[static_cast<size_t>(stage_index)]) {
-                               TryDispatch(replica.get());
+                               TryDispatch(replica->host);
                              }
                            });
       }
     }
-    if (IsGPipeLike()) {
-      ++round_bwd_done_;
-      MaybeFlushGPipe();
-    }
   }
-  TryDispatch(r);
+  TryDispatch(w);
 }
 
 SimResult PipelineSimulation::Run() {
-  for (Replica* r : all_replicas_) {
-    TryDispatch(r);
+  for (auto& worker : workers_) {
+    TryDispatch(worker.get());
   }
   engine_.Run();
   PD_CHECK_EQ(completed_minibatches_, options_.num_minibatches)

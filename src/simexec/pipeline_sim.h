@@ -1,12 +1,15 @@
 // Event-driven cluster simulator for pipeline-parallel training.
 //
-// Executes a (profile, plan, topology) triple under a scheduling policy — 1F1B / 1F1B-RR,
-// GPipe with m microbatches per flush, or non-pipelined model parallelism — in deterministic
-// virtual time, modelling per-worker compute serialization, per-worker NIC egress
-// serialization for activations/gradients, and per-stage weight-synchronization collectives
-// for replicated stages. This is the measurement substrate standing in for the paper's GPU
-// clusters: it reports the throughput, utilization, memory, and communication quantities the
-// evaluation section's tables and figures are built from.
+// Executes a (profile, plan, topology) triple under any schedule of the zoo — 1F1B /
+// 1F1B-RR, GPipe, model parallelism, PipeDream-Flush, interleaved virtual stages — in
+// deterministic virtual time. Every device runs the program CompileSchedule
+// (src/schedule/program.h) emits for it, strictly in order: the same programs the
+// threaded runtime executes, so the simulated op order is the trained op order. The model
+// covers per-worker compute serialization, per-worker NIC egress serialization for
+// activations/gradients, per-stage weight-synchronization collectives for replicated
+// stages, and flush barriers. This is the measurement substrate standing in for the
+// paper's GPU clusters: it reports the throughput, utilization, memory, and communication
+// quantities the evaluation section's tables and figures are built from.
 #ifndef SRC_SIMEXEC_PIPELINE_SIM_H_
 #define SRC_SIMEXEC_PIPELINE_SIM_H_
 
@@ -22,17 +25,16 @@
 
 namespace pipedream {
 
-// ScheduleKind — the zoo of docs/SCHEDULES.md — lives in src/common/schedule.h; this header
-// re-exports it for its historical users (the sim was its first home).
-
 // One injected device failure (mirrors the runtime's FaultPlan at simulation fidelity).
 // The victim worker dies when it is about to process `at_minibatch`; `detection_seconds`
 // later the failure is classified, a restart costing `restart_seconds` reloads the newest
 // checkpoint (minibatch progress rounded down to `checkpoint_every`), and every minibatch
 // past that boundary re-executes. With `degraded` set the victim is instead ejected from its
 // replicated stage and the survivors carry the rebalanced round-robin load.
-// For replicated / GPipe pipelines choose `checkpoint_every` as a multiple of the stage
-// replica counts (and the GPipe round size) so the rollback point is round-aligned.
+// For replicated / flush-family pipelines choose `checkpoint_every` as a multiple of the
+// stage replica counts (and the round size) so the rollback point is round-aligned. The
+// restart recompiles every program from the rollback point, so every schedule, interleaved
+// included, recovers the same way.
 //
 // Elastic events (mirroring ElasticTrainer): with `replan` set, the restart does not respawn
 // or eject in place — it re-runs the heterogeneous partitioner over the SURVIVING workers
@@ -41,8 +43,7 @@ namespace pipedream {
 // event (`join_enabled`) fires once `join_at_minibatch` minibatches have completed: the
 // pipeline quiesces, `join_worker` is admitted to the live set, and the partitioner re-plans
 // over the enlarged cluster — no completed work is rolled back (the quiesce point writes a
-// fresh checkpoint), only in-flight minibatches re-execute. Both require a non-GPipe
-// schedule.
+// fresh checkpoint), only in-flight minibatches re-execute. Both require a 1F1B schedule.
 struct SimFault {
   bool enabled = false;
   int stage = 0;
@@ -64,11 +65,13 @@ struct SimOptions {
   ScheduleKind schedule = ScheduleKind::kOneFOneB;
   int64_t num_minibatches = 200;
   int gpipe_microbatches = 4;        // round size per flush (kGPipe / kPipeDreamFlush)
-  int pipeline_depth_override = 0;   // 1F1B in-flight depth; 0 = the plan's startup depths
+  // 1F1B in-flight depth: stage s runs at most max(1, override - s) forwards ahead; 0 = the
+  // plan's startup depths. Above 1 it needs an unreplicated plan.
+  int pipeline_depth_override = 0;
   // Virtual chunk-stages per physical worker for kInterleaved: the (straight) plan's
   // num_stages must be divisible by this, stage s runs on physical worker s mod
   // (num_stages / interleave_chunks), and each worker executes its chunks' ops in the
-  // statically generated order of BuildInterleavedSchedule. 1 elsewhere.
+  // compiled order (src/schedule/program.h). 1 elsewhere.
   int interleave_chunks = 1;
   // Per-stage activation recomputation, mirroring the runtime: unset = the plan's per-stage
   // StageAssignment::recompute flags; set = a global override. A recomputing stage stashes
@@ -85,9 +88,6 @@ struct SimOptions {
   // stages launch one weight-sync collective per `replicas * accumulation_steps` backwards
   // instead of per `replicas`.
   int accumulation_steps = 1;
-  double gpipe_recompute_overhead = 0.0;  // extra backward time as a fraction of forward
-                                          // (activation recomputation, Chen et al.)
-  bool gpipe_discard_activations = false;  // stash only boundary activations (with recompute)
   bool record_trace = false;
   int trace_worker_limit = 16;
   SimFault fault;                    // optional device-failure event

@@ -412,5 +412,30 @@ TEST_F(ElasticTest, AddWorkerRejectsIncompatibleEpochGrid) {
   EXPECT_DEATH(elastic.AddWorker({1.0, 0}), "cannot host");
 }
 
+TEST_F(ElasticTest, RejectsEveryScheduleButOneFOneBAtConstruction) {
+  // Re-planning re-partitions on the epoch grid under per-minibatch 1F1B semantics; every
+  // other schedule is refused up front, by name, instead of failing deep inside a run.
+  const Dataset data = MakeGaussianMixture(3, 6, 24, 0.3, 17);  // 72 samples -> bpe 18
+  SoftmaxCrossEntropy loss;
+  Sgd sgd(0.05);
+  Rng rng(3);
+  const auto model = BuildMlpClassifier(6, {16, 12, 8}, 3, &rng);
+  const auto profile = ComputeBoundProfile(static_cast<int>(model->size()));
+  CheckpointManager manager(dir_.string());
+  for (const ScheduleKind kind : {ScheduleKind::kGPipe, ScheduleKind::kModelParallel,
+                                  ScheduleKind::kPipeDreamFlush, ScheduleKind::kInterleaved}) {
+    SCOPED_TRACE(ScheduleKindName(kind));
+    ElasticOptions options;
+    options.recovery = FastRecovery();
+    options.trainer.schedule = kind;
+    options.trainer.gpipe_microbatches = 4;
+    options.trainer.interleave_chunks = 2;
+    EXPECT_DEATH(ElasticTrainer(*model, profile, &loss, sgd, &data, 4, /*seed=*/5,
+                                {{1.0, 0}, {1.0, 0}, {1.0, 0}}, &manager, options),
+                 std::string("elastic re-planning requires a 1F1B schedule, not ") +
+                     ScheduleKindName(kind));
+  }
+}
+
 }  // namespace
 }  // namespace pipedream

@@ -7,7 +7,6 @@
 
 #include <cmath>
 #include <filesystem>
-#include <numeric>
 #include <memory>
 #include <unistd.h>
 
@@ -28,16 +27,31 @@ struct Scenario {
   const char* name;
   PipelinePlan plan;
   PipelineTrainerOptions options;
+  std::vector<int64_t> hidden = {8};  // BuildMlpClassifier hidden widths
 };
 
-std::vector<Scenario> Scenarios(int num_layers) {
+PipelineTrainerOptions WithSchedule(ScheduleKind kind) {
+  PipelineTrainerOptions options;
+  options.schedule = kind;
+  options.gpipe_microbatches = 4;
+  options.interleave_chunks = 2;
+  return options;
+}
+
+// BuildMlpClassifier(4, {8}, 3) is 3 layers: Linear, ReLU, Linear; with {8, 8} it is 5.
+std::vector<Scenario> Scenarios() {
   std::vector<Scenario> scenarios;
-  scenarios.push_back({"1f1b_straight", MakeStraightPlan(num_layers, {2}), {}});
+  scenarios.push_back({"1f1b_straight", MakeStraightPlan(3, {2}), {}});
   scenarios.push_back({"1f1b_replicated", MakePlanFromShape({{2, 2}, {1, 1}}), {}});
-  PipelineTrainerOptions gpipe;
-  gpipe.schedule = ScheduleKind::kGPipe;
-  gpipe.gpipe_microbatches = 4;
-  scenarios.push_back({"gpipe_straight", MakeStraightPlan(num_layers, {2}), gpipe});
+  scenarios.push_back(
+      {"gpipe_straight", MakeStraightPlan(3, {2}), WithSchedule(ScheduleKind::kGPipe)});
+  scenarios.push_back({"flush_straight", MakeStraightPlan(3, {1, 2}),
+                       WithSchedule(ScheduleKind::kPipeDreamFlush)});
+  scenarios.push_back({"model_parallel_straight", MakeStraightPlan(3, {2}),
+                       WithSchedule(ScheduleKind::kModelParallel)});
+  // Four chunk-stages on two workers, each hosting two.
+  scenarios.push_back({"interleaved_k2", MakeStraightPlan(5, {1, 2, 4}),
+                       WithSchedule(ScheduleKind::kInterleaved), {8, 8}});
   return scenarios;
 }
 
@@ -56,12 +70,11 @@ TEST(FaultFuzzTest, RandomPlansNeverDeadlockOrLoseMinibatches) {
   std::filesystem::create_directories(base_dir);
 
   int total_fired = 0;
-  // BuildMlpClassifier(4, {8}, 3) is 3 layers: Linear, ReLU, Linear.
-  for (const Scenario& scenario : Scenarios(3)) {
+  for (const Scenario& scenario : Scenarios()) {
     for (uint64_t fault_seed = 1; fault_seed <= 6; ++fault_seed) {
       SCOPED_TRACE(std::string(scenario.name) + " fault_seed=" + std::to_string(fault_seed));
       Rng rng(1);
-      const auto model = BuildMlpClassifier(4, {8}, 3, &rng);
+      const auto model = BuildMlpClassifier(4, scenario.hidden, 3, &rng);
       PipelineTrainer trainer(*model, scenario.plan, &loss, sgd, &data, 8, /*seed=*/5,
                               scenario.options);
       const auto ckpt_dir =
@@ -70,18 +83,8 @@ TEST(FaultFuzzTest, RandomPlansNeverDeadlockOrLoseMinibatches) {
       CheckpointManager manager(ckpt_dir.string());
       trainer.EnableRecovery(&manager, recovery);
 
-      // Epochs truncate to a whole number of synchronization rounds (replica LCM, and the
-      // flush round for GPipe) — mirror the trainer's epoch-length granularity.
-      int64_t granularity = 1;
-      for (const StageAssignment& stage : scenario.plan.stages()) {
-        granularity = std::lcm(granularity, static_cast<int64_t>(stage.replicas));
-      }
-      if (scenario.options.schedule == ScheduleKind::kGPipe) {
-        granularity =
-            std::lcm(granularity, static_cast<int64_t>(scenario.options.gpipe_microbatches));
-      }
-      const int64_t bpe =
-          trainer.batches_per_epoch() / granularity * granularity;
+      // Epochs truncate to a whole number of synchronization rounds.
+      const int64_t bpe = trainer.epoch_length();
       FaultInjector injector(FaultPlan::Random(fault_seed, scenario.plan, 2 * bpe,
                                                /*num_faults=*/2, /*max_duration_ms=*/20.0));
       trainer.SetFaultInjector(&injector);

@@ -1,12 +1,14 @@
 // Schedule fuzzing: seeded-random pipeline shapes through every ScheduleKind, with the
 // ExecutionTrace validator asserting the §3.2 safety properties on each run — forward /
 // backward data dependencies across stages, 1F1B-RR forward/backward replica affinity
-// (required for weight stashing), worker exclusivity, and round-robin input routing. The
-// simulator and the validator are independent implementations of the schedule semantics,
-// so agreement across hundreds of random configurations is strong evidence both are right.
+// (required for weight stashing), worker exclusivity, and round-robin input routing — and
+// every replica's traced op sequence matching its compiled program exactly. The simulator
+// and the validator are independent implementations of the schedule semantics, so
+// agreement across hundreds of random configurations is strong evidence both are right.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "src/common/rng.h"
 #include "src/planner/plan.h"
 #include "src/profile/layer_profile.h"
+#include "src/schedule/program.h"
 #include "src/simexec/pipeline_sim.h"
 
 namespace pipedream {
@@ -55,6 +58,19 @@ PipelinePlan RandomPlan(int layers, bool allow_replicas, Rng* rng) {
   return MakePlanFromShape(shape);
 }
 
+// Each replica's (type, minibatch) sequence in the trace, keyed by (stage, worker).
+using OpSequence = std::vector<std::pair<WorkType, int64_t>>;
+std::map<std::pair<int, int>, OpSequence> TracedSequences(const ExecutionTrace& trace) {
+  std::vector<TraceEvent> events = trace.events();
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) { return a.start < b.start; });
+  std::map<std::pair<int, int>, OpSequence> sequences;
+  for (const TraceEvent& e : events) {
+    sequences[{e.stage, e.worker}].emplace_back(e.type, e.minibatch);
+  }
+  return sequences;
+}
+
 void RunAndValidate(const ModelProfile& profile, const PipelinePlan& plan,
                     const SimOptions& options, const std::string& what) {
   const auto topo = HardwareTopology::Flat(plan.total_workers(), 1e9);
@@ -63,6 +79,34 @@ void RunAndValidate(const ModelProfile& profile, const PipelinePlan& plan,
   EXPECT_TRUE(status.ok()) << what << ": " << status.message();
   EXPECT_GT(result.trace.size(), 0u) << what;
   EXPECT_GT(result.throughput_samples_per_sec, 0.0) << what;
+
+  // The simulator runs the compiled programs: every replica's traced order is its program.
+  ProgramSpec spec;
+  spec.kind = options.schedule;
+  spec.round_size = options.gpipe_microbatches;
+  spec.accumulation = options.accumulation_steps;
+  spec.depth_override = options.pipeline_depth_override;
+  std::vector<int> replicas;
+  for (const StageAssignment& stage : plan.stages()) {
+    replicas.push_back(stage.replicas);
+  }
+  const auto traced = TracedSequences(result.trace);
+  for (const WorkerProgram& program :
+       CompileSchedule(spec, replicas, 0, options.num_minibatches)) {
+    const int stage = program.stages[0];
+    OpSequence expected;
+    for (const Instr& instr : program.instrs) {
+      if (instr.op == OpCode::kFwd || instr.op == OpCode::kBwd) {
+        expected.emplace_back(WorkTypeOf(instr.op), instr.minibatch);
+      }
+    }
+    const auto it = traced.find(
+        {stage, plan.stage(stage).workers[static_cast<size_t>(program.rank)]});
+    ASSERT_TRUE(it != traced.end()) << what << ": stage " << stage << " rank " << program.rank;
+    EXPECT_TRUE(it->second == expected)
+        << what << ": stage " << stage << " rank " << program.rank
+        << " ran out of its program's order";
+  }
 }
 
 TEST(PolicyFuzzTest, OneFOneBRandomPlansNeverViolateTraceInvariants) {
@@ -97,11 +141,29 @@ TEST(PolicyFuzzTest, GPipeRandomDepthsNeverViolateTraceInvariants) {
     SimOptions options;
     options.schedule = ScheduleKind::kGPipe;
     options.gpipe_microbatches = 1 + static_cast<int>(rng.UniformInt(6));
-    options.num_minibatches = options.gpipe_microbatches *
-                              (2 + static_cast<int>(rng.UniformInt(4)));
+    // Any stream length: the last round is short when m does not divide it.
+    options.num_minibatches = 2 + static_cast<int>(rng.UniformInt(24));
     options.record_trace = true;
     RunAndValidate(profile, plan, options,
                    "gpipe-m" + std::to_string(options.gpipe_microbatches) + " trial " +
+                       std::to_string(trial) + " plan " + plan.ConfigString(layers));
+  }
+}
+
+TEST(PolicyFuzzTest, PipeDreamFlushRandomDepthsNeverViolateTraceInvariants) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int layers = 2 + static_cast<int>(rng.UniformInt(9));
+    const ModelProfile profile = RandomProfile(layers, &rng);
+    const PipelinePlan plan = RandomPlan(layers, /*allow_replicas=*/false, &rng);
+    plan.Validate(layers);
+    SimOptions options;
+    options.schedule = ScheduleKind::kPipeDreamFlush;
+    options.gpipe_microbatches = 1 + static_cast<int>(rng.UniformInt(6));
+    options.num_minibatches = 2 + static_cast<int>(rng.UniformInt(24));
+    options.record_trace = true;
+    RunAndValidate(profile, plan, options,
+                   "flush-m" + std::to_string(options.gpipe_microbatches) + " trial " +
                        std::to_string(trial) + " plan " + plan.ConfigString(layers));
   }
 }
@@ -140,8 +202,7 @@ TEST(PolicyFuzzTest, RandomMicrobatchStreams) {
     } else if (kind == 1) {
       options.schedule = ScheduleKind::kGPipe;
       options.gpipe_microbatches = 1 + static_cast<int>(rng.UniformInt(8));
-      options.num_minibatches =
-          options.gpipe_microbatches * (1 + static_cast<int>(rng.UniformInt(6)));
+      options.num_minibatches = 1 + static_cast<int>(rng.UniformInt(48));
     } else {
       options.schedule = ScheduleKind::kModelParallel;
       options.num_minibatches = 4 + static_cast<int>(rng.UniformInt(30));

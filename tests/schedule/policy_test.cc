@@ -1,12 +1,39 @@
+// Schedule-compiler tests: the exact program every member of the zoo compiles to, plus a
+// global replay showing interleaved programs execute without wedging.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
-#include "src/schedule/interleaved.h"
-#include "src/schedule/policy.h"
+#include "src/schedule/program.h"
 
 namespace pipedream {
 namespace {
+
+// One token per instruction: F<mb> forward, B<mb> backward, S<mb> Step, X<mb> Flush.
+std::string Render(const std::vector<Instr>& instrs) {
+  std::string out;
+  for (const Instr& instr : instrs) {
+    if (!out.empty()) {
+      out += ' ';
+    }
+    out += "FBSX"[static_cast<int>(instr.op)];
+    out += std::to_string(instr.minibatch);
+  }
+  return out;
+}
+
+ProgramSpec Spec(ScheduleKind kind, int round_size = 4) {
+  ProgramSpec spec;
+  spec.kind = kind;
+  spec.round_size = round_size;
+  return spec;
+}
+
+// Programs of an unreplicated `stages`-stage pipeline over minibatches [0, n).
+std::vector<WorkerProgram> Straight(int stages, const ProgramSpec& spec, int64_t n) {
+  return CompileSchedule(spec, std::vector<int>(static_cast<size_t>(stages), 1), 0, n);
+}
 
 TEST(StartupDepthTest, StraightPipeline) {
   const auto plan = MakeStraightPlan(8, {2, 4, 6});
@@ -30,216 +57,134 @@ TEST(StartupDepthTest, FifteenOne) {
   EXPECT_EQ(plan.Noam(), StartupDepth(plan, 0));
 }
 
-TEST(OneFOneBPolicyTest, StartupForwardsThenStrictAlternation) {
-  OneFOneBPolicy policy(3);
-  // Startup: three forwards.
-  for (int i = 0; i < 3; ++i) {
-    const auto action = policy.Decide(1, 1, false);
-    ASSERT_TRUE(action.has_value());
-    EXPECT_EQ(*action, WorkType::kForward) << i;
-    policy.OnStarted(*action);
-  }
-  // Steady state: backward first, then alternate.
-  const WorkType expected[] = {WorkType::kBackward, WorkType::kForward, WorkType::kBackward,
-                               WorkType::kForward};
-  for (WorkType want : expected) {
-    const auto action = policy.Decide(1, 1, false);
-    ASSERT_TRUE(action.has_value());
-    EXPECT_EQ(*action, want);
-    policy.OnStarted(*action);
+TEST(OneFOneBProgramTest, StartupForwardsThenStrictAlternationThenDrain) {
+  // Stage 0 of a 3-stage pipeline: startup depth 3, then strict alternation starting with
+  // a backward (a ready forward never jumps the due backward), then the drain. Each
+  // backward is its own update.
+  const auto programs = Straight(3, Spec(ScheduleKind::kOneFOneB), 6);
+  ASSERT_EQ(programs.size(), 3u);
+  EXPECT_EQ(Render(programs[0].instrs),
+            "F0 F1 F2 B0 S0 F3 B1 S1 F4 B2 S2 F5 B3 S3 B4 S4 B5 S5");
+  EXPECT_EQ(Render(programs[2].instrs),
+            "F0 B0 S0 F1 B1 S1 F2 B2 S2 F3 B3 S3 F4 B4 S4 F5 B5 S5");
+  for (int s = 0; s < 3; ++s) {
+    EXPECT_EQ(programs[static_cast<size_t>(s)].stages, std::vector<int>{s});
+    EXPECT_EQ(programs[static_cast<size_t>(s)].rank, 0);
   }
 }
 
-TEST(OneFOneBPolicyTest, StrictWaitsForDueDirection) {
-  OneFOneBPolicy policy(1);
-  policy.OnStarted(*policy.Decide(1, 0, false));  // startup forward
-  // Due direction is backward; a ready forward must NOT be taken.
-  EXPECT_FALSE(policy.Decide(1, 0, false).has_value());
-  // The backward arrives; it is taken.
-  const auto action = policy.Decide(1, 1, false);
-  ASSERT_TRUE(action.has_value());
-  EXPECT_EQ(*action, WorkType::kBackward);
+TEST(OneFOneBProgramTest, ShortRunDrainsDuringStartup) {
+  // Only one minibatch ever exists: the depth-4 input stage runs its backward right after.
+  EXPECT_EQ(Render(Straight(4, Spec(ScheduleKind::kOneFOneB), 1)[0].instrs), "F0 B0 S0");
 }
 
-TEST(OneFOneBPolicyTest, StartupWaitsForForwards) {
-  OneFOneBPolicy policy(2);
-  EXPECT_FALSE(policy.Decide(0, 1, false).has_value());  // backward ready, but startup
+TEST(OneFOneBProgramTest, AccumulationStepsEveryKBackwards) {
+  ProgramSpec spec = Spec(ScheduleKind::kOneFOneB);
+  spec.accumulation = 2;
+  const auto programs = Straight(2, spec, 5);
+  // The fifth backward starts an update the range never completes: no trailing Step.
+  EXPECT_EQ(Render(programs[0].instrs), "F0 F1 B0 F2 B1 S1 F3 B2 F4 B3 S3 B4");
+  EXPECT_EQ(Render(programs[1].instrs), "F0 B0 F1 B1 S1 F2 B2 F3 B3 S3 F4 B4");
 }
 
-TEST(OneFOneBPolicyTest, DrainTakesBackwardsWhenForwardsExhausted) {
-  OneFOneBPolicy policy(2);
-  policy.OnStarted(*policy.Decide(1, 0, false));
-  policy.OnStarted(*policy.Decide(1, 0, false));
-  policy.OnStarted(*policy.Decide(0, 1, false));  // steady backward
-  // Due: forward, but the stream has ended — drain the remaining backward.
-  const auto action = policy.Decide(0, 1, true);
-  ASSERT_TRUE(action.has_value());
-  EXPECT_EQ(*action, WorkType::kBackward);
+TEST(OneFOneBProgramTest, RoundRobinSharesFollowTheRotation) {
+  // 2-1 configuration: stage 0 has startup depth ceil(3 / 2) = 2 per replica, and each
+  // replica runs exactly its residue class, in minibatch order.
+  const auto programs =
+      CompileSchedule(Spec(ScheduleKind::kOneFOneB), {2, 1}, /*begin=*/0, /*end=*/6);
+  ASSERT_EQ(programs.size(), 3u);
+  EXPECT_EQ(programs[1].rank, 1);
+  EXPECT_EQ(Render(programs[0].instrs), "F0 F2 B0 S0 F4 B2 S2 B4 S4");
+  EXPECT_EQ(Render(programs[1].instrs), "F1 F3 B1 S1 F5 B3 S3 B5 S5");
+  EXPECT_EQ(Render(programs[2].instrs),
+            "F0 B0 S0 F1 B1 S1 F2 B2 S2 F3 B3 S3 F4 B4 S4 F5 B5 S5");
 }
 
-TEST(OneFOneBPolicyTest, ShortRunDrainsDuringStartup) {
-  OneFOneBPolicy policy(4);
-  policy.OnStarted(*policy.Decide(1, 0, false));
-  // Only one minibatch ever existed; its backward must still be runnable.
-  const auto action = policy.Decide(0, 1, true);
-  ASSERT_TRUE(action.has_value());
-  EXPECT_EQ(*action, WorkType::kBackward);
+TEST(OneFOneBProgramTest, RangeStartingMidRotationAlignsOnResidues) {
+  // A replay from minibatch 3 (a restart, or a degraded rotation) keeps b % 2 routing.
+  const auto programs = CompileSchedule(Spec(ScheduleKind::kOneFOneB), {2, 1}, 3, 7);
+  EXPECT_EQ(Render(programs[0].instrs), "F4 F6 B4 S4 B6 S6");
+  EXPECT_EQ(Render(programs[1].instrs), "F3 F5 B3 S3 B5 S5");
 }
 
-TEST(GPipePolicyTest, ForwardsThenBackwardsThenFlush) {
-  GPipePolicy policy(3);
-  for (int i = 0; i < 3; ++i) {
-    const auto action = policy.Decide(1, 0, false);
-    ASSERT_TRUE(action.has_value());
-    EXPECT_EQ(*action, WorkType::kForward);
-    policy.OnStarted(*action);
-  }
-  // No fourth forward within the round.
-  EXPECT_FALSE(policy.Decide(1, 0, false).has_value());
-  for (int i = 0; i < 3; ++i) {
-    const auto action = policy.Decide(1, 1, false);
-    ASSERT_TRUE(action.has_value());
-    EXPECT_EQ(*action, WorkType::kBackward);
-    policy.OnStarted(*action);
-  }
-  // Round complete: stall for the flush.
-  EXPECT_TRUE(policy.waiting_for_flush());
-  EXPECT_FALSE(policy.Decide(1, 1, false).has_value());
-  policy.OnFlushComplete();
-  EXPECT_FALSE(policy.waiting_for_flush());
-  const auto action = policy.Decide(1, 0, false);
-  ASSERT_TRUE(action.has_value());
-  EXPECT_EQ(*action, WorkType::kForward);
+TEST(OneFOneBProgramTest, DepthOverrideCapsEveryStage) {
+  ProgramSpec spec = Spec(ScheduleKind::kOneFOneB);
+  spec.depth_override = 2;  // stage s admits max(1, min(4 - s, 2 - s)) forwards
+  const auto programs = Straight(4, spec, 3);
+  EXPECT_EQ(Render(programs[0].instrs), "F0 F1 B0 S0 F2 B1 S1 B2 S2");
+  EXPECT_EQ(Render(programs[1].instrs), "F0 B0 S0 F1 B1 S1 F2 B2 S2");
 }
 
-TEST(GPipePolicyTest, InterleavesBackwardWhenNoForwardReady) {
-  // A middle stage may see backwards before all its forwards arrived; backwards proceed
-  // whenever no forward is pending.
-  GPipePolicy policy(2);
-  policy.OnStarted(*policy.Decide(1, 0, false));
-  const auto action = policy.Decide(0, 1, false);
-  ASSERT_TRUE(action.has_value());
-  EXPECT_EQ(*action, WorkType::kBackward);
-}
-
-TEST(ModelParallelPolicyTest, OneMinibatchAtATime) {
-  ModelParallelPolicy policy;
-  const auto f = policy.Decide(1, 0, false);
-  ASSERT_TRUE(f.has_value());
-  policy.OnStarted(*f);
-  EXPECT_FALSE(policy.Decide(1, 0, false).has_value());  // next fwd blocked until flush
-  const auto b = policy.Decide(0, 1, false);
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(*b, WorkType::kBackward);
-  policy.OnStarted(*b);
-  EXPECT_TRUE(policy.waiting_for_flush());
-}
-
-// Runs `policy` with both directions always ready and records the op sequence until the
-// policy stalls (flush wait) or `limit` ops were taken.
-std::vector<WorkType> DrainSequence(SchedulingPolicy* policy, int limit) {
-  std::vector<WorkType> ops;
-  while (static_cast<int>(ops.size()) < limit) {
-    const auto action = policy->Decide(1, 1, false);
-    if (!action.has_value()) {
-      break;
-    }
-    policy->OnStarted(*action);
-    ops.push_back(*action);
-  }
-  return ops;
-}
-
-TEST(PipeDreamFlushPolicyTest, WarmupAlternationDrainThenFlush) {
-  // Stage with startup depth 2 in a round of m = 4: two warm-up forwards, strict 1F1B
-  // alternation, then a pure backward drain once all 4 forwards have started.
-  PipeDreamFlushPolicy policy(/*startup_depth=*/2, /*microbatches=*/4);
-  const std::vector<WorkType> expected = {WorkType::kForward,  WorkType::kForward,
-                                          WorkType::kBackward, WorkType::kForward,
-                                          WorkType::kBackward, WorkType::kForward,
-                                          WorkType::kBackward, WorkType::kBackward};
-  EXPECT_EQ(DrainSequence(&policy, 16), expected);
-  // Round complete: stall until the drain barrier reports the aggregated update committed.
-  EXPECT_TRUE(policy.waiting_for_flush());
-  EXPECT_FALSE(policy.Decide(1, 1, false).has_value());
-  policy.OnFlushComplete();
-  EXPECT_FALSE(policy.waiting_for_flush());
-  const auto next = policy.Decide(1, 0, false);
-  ASSERT_TRUE(next.has_value());
-  EXPECT_EQ(*next, WorkType::kForward);  // the next round starts fresh
-}
-
-TEST(PipeDreamFlushPolicyTest, LastStageAlternatesFromTheFirstMinibatch) {
-  PipeDreamFlushPolicy policy(/*startup_depth=*/1, /*microbatches=*/3);
-  const std::vector<WorkType> expected = {WorkType::kForward,  WorkType::kBackward,
-                                          WorkType::kForward,  WorkType::kBackward,
-                                          WorkType::kForward,  WorkType::kBackward};
-  EXPECT_EQ(DrainSequence(&policy, 16), expected);
-  EXPECT_TRUE(policy.waiting_for_flush());
-}
-
-TEST(PipeDreamFlushPolicyTest, RoundSizeCapsTheWarmup) {
-  // A deep stage in a small round: the warm-up is min(startup_depth, m) = 2, after which
-  // the stage drains — live stashes never exceed the round size.
-  PipeDreamFlushPolicy policy(/*startup_depth=*/4, /*microbatches=*/2);
-  const std::vector<WorkType> expected = {WorkType::kForward, WorkType::kForward,
-                                          WorkType::kBackward, WorkType::kBackward};
-  EXPECT_EQ(DrainSequence(&policy, 16), expected);
-  EXPECT_TRUE(policy.waiting_for_flush());
-}
-
-TEST(PipeDreamFlushPolicyTest, StrictWaitsForDueDirection) {
-  PipeDreamFlushPolicy policy(/*startup_depth=*/2, /*microbatches=*/4);
-  policy.OnStarted(*policy.Decide(1, 0, false));
-  policy.OnStarted(*policy.Decide(1, 0, false));
-  // Warm-up done; the due direction is backward — a ready forward must not be taken.
-  EXPECT_FALSE(policy.Decide(1, 0, false).has_value());
-  const auto action = policy.Decide(1, 1, false);
-  ASSERT_TRUE(action.has_value());
-  EXPECT_EQ(*action, WorkType::kBackward);
-}
-
-TEST(InterleavedScheduleTest, ChunksOneIsPlainOneFOneBPerStage) {
-  // k = 1: worker w owns exactly stage w and its op list is the plain 1F1B order.
-  const auto schedule = BuildInterleavedSchedule(/*num_stages=*/2, /*chunks=*/1,
-                                                 /*num_minibatches=*/3);
-  ASSERT_EQ(schedule.size(), 2u);
-  const std::vector<WorkType> stage0 = {WorkType::kForward,  WorkType::kForward,
-                                        WorkType::kBackward, WorkType::kForward,
-                                        WorkType::kBackward, WorkType::kBackward};
-  const std::vector<WorkType> stage1 = {WorkType::kForward, WorkType::kBackward,
-                                        WorkType::kForward, WorkType::kBackward,
-                                        WorkType::kForward, WorkType::kBackward};
-  ASSERT_EQ(schedule[0].size(), stage0.size());
-  ASSERT_EQ(schedule[1].size(), stage1.size());
-  for (size_t i = 0; i < stage0.size(); ++i) {
-    EXPECT_EQ(schedule[0][i].stage, 0);
-    EXPECT_EQ(schedule[0][i].type, stage0[i]) << i;
-  }
-  for (size_t i = 0; i < stage1.size(); ++i) {
-    EXPECT_EQ(schedule[1][i].stage, 1);
-    EXPECT_EQ(schedule[1][i].type, stage1[i]) << i;
+TEST(GPipeProgramTest, AllForwardsThenAllBackwardsThenStepAndFlush) {
+  // Every stage runs the round's m forwards, then its m backwards in minibatch order; the
+  // short final round (7 is not a multiple of 3) closes the same way.
+  const auto programs = Straight(2, Spec(ScheduleKind::kGPipe, 3), 7);
+  for (const WorkerProgram& program : programs) {
+    EXPECT_EQ(Render(program.instrs),
+              "F0 F1 F2 B0 B1 B2 S2 X2 F3 F4 F5 B3 B4 B5 S5 X5 F6 B6 S6 X6");
   }
 }
 
-TEST(InterleavedScheduleTest, GeneratedListsAreCompleteAndExecutable) {
+TEST(ModelParallelProgramTest, OneMinibatchAtATime) {
+  const auto programs = Straight(3, Spec(ScheduleKind::kModelParallel, 4), 2);
+  for (const WorkerProgram& program : programs) {
+    EXPECT_EQ(Render(program.instrs), "F0 B0 S0 X0 F1 B1 S1 X1");
+  }
+}
+
+TEST(PipeDreamFlushProgramTest, WarmupAlternationDrainThenFlush) {
+  // Stage 1 of 3 has startup depth 2; in a round of m = 4 it warms up with two forwards,
+  // alternates 1F1B, drains once all 4 forwards ran, then updates and flushes.
+  const auto programs = Straight(3, Spec(ScheduleKind::kPipeDreamFlush, 4), 8);
+  EXPECT_EQ(Render(programs[1].instrs),
+            "F0 F1 B0 F2 B1 F3 B2 B3 S3 X3 F4 F5 B4 F6 B5 F7 B6 B7 S7 X7");
+  // The last stage alternates from the first minibatch.
+  EXPECT_EQ(Render(programs[2].instrs),
+            "F0 B0 F1 B1 F2 B2 F3 B3 S3 X3 F4 B4 F5 B5 F6 B6 F7 B7 S7 X7");
+}
+
+TEST(PipeDreamFlushProgramTest, RoundSizeCapsTheWarmup) {
+  // A depth-4 stage in rounds of 2: live stashes never exceed the round size.
+  const auto programs = Straight(4, Spec(ScheduleKind::kPipeDreamFlush, 2), 4);
+  EXPECT_EQ(Render(programs[0].instrs), "F0 F1 B0 B1 S1 X1 F2 F3 B2 B3 S3 X3");
+}
+
+TEST(InterleavedProgramTest, ChunksOneIsPlainOneFOneBPerStage) {
+  // k = 1: worker w owns exactly stage w and its program is the plain 1F1B order.
+  ProgramSpec spec = Spec(ScheduleKind::kInterleaved);
+  spec.chunks = 1;
+  const auto interleaved = Straight(2, spec, 3);
+  const auto plain = Straight(2, Spec(ScheduleKind::kOneFOneB), 3);
+  ASSERT_EQ(interleaved.size(), 2u);
+  for (size_t w = 0; w < 2; ++w) {
+    EXPECT_EQ(interleaved[w].stages, plain[w].stages);
+    EXPECT_EQ(Render(interleaved[w].instrs), Render(plain[w].instrs)) << w;
+  }
+  EXPECT_EQ(Render(interleaved[0].instrs), "F0 F1 B0 S0 F2 B1 S1 B2 S2");
+}
+
+TEST(InterleavedProgramTest, GeneratedListsAreCompleteAndExecutable) {
   // 6 chunk-stages on 3 workers, 5 minibatches: every stage must run every minibatch's
   // forward and backward exactly once, each worker only touches its own chunks, and a
   // global replay of the lists (execute any worker's head op whose dataflow inputs are
   // ready) must finish without wedging — the deadlock-freedom-by-construction claim.
   const int kStages = 6;
-  const int kChunks = 2;
   const int64_t kMinibatches = 5;
-  const int workers = kStages / kChunks;
-  const auto schedule = BuildInterleavedSchedule(kStages, kChunks, kMinibatches);
-  ASSERT_EQ(schedule.size(), static_cast<size_t>(workers));
+  ProgramSpec spec = Spec(ScheduleKind::kInterleaved);
+  spec.chunks = 2;
+  const int workers = kStages / spec.chunks;
+  const auto programs = Straight(kStages, spec, kMinibatches);
+  ASSERT_EQ(programs.size(), static_cast<size_t>(workers));
 
   std::vector<int64_t> fwd_count(kStages, 0);
   std::vector<int64_t> bwd_count(kStages, 0);
   for (int w = 0; w < workers; ++w) {
-    for (const ChunkOp& op : schedule[w]) {
-      EXPECT_EQ(InterleavedWorkerOfStage(op.stage, workers), w);
-      (op.type == WorkType::kForward ? fwd_count : bwd_count)[op.stage] += 1;
+    EXPECT_EQ(programs[w].stages, (std::vector<int>{w, w + workers}));
+    for (const Instr& instr : programs[w].instrs) {
+      EXPECT_EQ(instr.stage % workers, w);
+      if (instr.op == OpCode::kFwd || instr.op == OpCode::kBwd) {
+        (instr.op == OpCode::kFwd ? fwd_count : bwd_count)[instr.stage] += 1;
+      }
     }
   }
   for (int s = 0; s < kStages; ++s) {
@@ -255,27 +200,29 @@ TEST(InterleavedScheduleTest, GeneratedListsAreCompleteAndExecutable) {
   while (progress) {
     progress = false;
     for (int w = 0; w < workers; ++w) {
-      while (next[w] < schedule[w].size()) {
-        const ChunkOp& op = schedule[w][next[w]];
-        const int s = op.stage;
-        bool ready;
-        if (op.type == WorkType::kForward) {
+      while (next[w] < programs[w].instrs.size()) {
+        const Instr& instr = programs[w].instrs[next[w]];
+        const int s = instr.stage;
+        bool ready = true;
+        if (instr.op == OpCode::kFwd) {
           ready = s == 0 || fwd_done[s - 1] > fwd_done[s];
-        } else {
+        } else if (instr.op == OpCode::kBwd) {
           ready = s == kStages - 1 ? fwd_done[s] > bwd_done[s]
                                    : bwd_done[s + 1] > bwd_done[s];
         }
         if (!ready) {
           break;
         }
-        (op.type == WorkType::kForward ? fwd_done : bwd_done)[s] += 1;
+        if (instr.op == OpCode::kFwd || instr.op == OpCode::kBwd) {
+          (instr.op == OpCode::kFwd ? fwd_done : bwd_done)[s] += 1;
+        }
         ++next[w];
         progress = true;
       }
     }
   }
   for (int w = 0; w < workers; ++w) {
-    EXPECT_EQ(next[w], schedule[w].size()) << "worker " << w << " wedged";
+    EXPECT_EQ(next[w], programs[w].instrs.size()) << "worker " << w << " wedged";
   }
 }
 

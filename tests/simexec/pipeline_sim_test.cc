@@ -157,6 +157,44 @@ TEST(PipelineSimTest, TraceValidatesForGPipe) {
   EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
+TEST(PipelineSimTest, FlushFamilyRunsAShortFinalRound) {
+  // 10 minibatches in rounds of 4: the last round holds 2. Every flush-family schedule
+  // completes it, and GPipe stashes all m of a full round at every stage.
+  const auto profile = UniformProfile(8);
+  const auto plan = MakeStraightPlan(8, {2, 4, 6});
+  const auto topo = HardwareTopology::Flat(4, 1e10);
+  for (const ScheduleKind kind : {ScheduleKind::kGPipe, ScheduleKind::kPipeDreamFlush,
+                                  ScheduleKind::kModelParallel}) {
+    SimOptions options;
+    options.schedule = kind;
+    options.gpipe_microbatches = 4;
+    options.num_minibatches = 10;
+    options.record_trace = true;
+    const auto result = SimulatePipeline(profile, plan, topo, options);
+    EXPECT_EQ(result.trace.size(), 2u * 4u * 10u) << ScheduleKindName(kind);
+    const Status status = result.trace.Validate(plan);
+    EXPECT_TRUE(status.ok()) << ScheduleKindName(kind) << ": " << status.ToString();
+    if (kind == ScheduleKind::kGPipe) {
+      EXPECT_EQ(result.stage_peak_stash, (std::vector<int>{4, 4, 4, 4}));
+    }
+  }
+}
+
+TEST(PipelineSimDeathTest, DepthOverrideRejectsReplicatedPlans) {
+  // Clamping stage s to override - s starves a replicated stage of its round-robin share;
+  // the simulator refuses the combination up front instead of deadlocking mid-run.
+  const auto profile = UniformProfile(8);
+  const auto plan = MakePlanFromShape({{2, 1}, {2, 2}, {2, 2}, {2, 3}});
+  const auto topo = HardwareTopology::Flat(8, 1e10);
+  SimOptions options;
+  options.num_minibatches = 36;
+  options.pipeline_depth_override = 4;
+  EXPECT_DEATH(SimulatePipeline(profile, plan, topo, options),
+               "pipeline_depth_override 4 above 1 requires an unreplicated plan");
+  options.pipeline_depth_override = 1;  // one in flight per replica stays valid
+  EXPECT_GT(SimulatePipeline(profile, plan, topo, options).throughput_samples_per_sec, 0.0);
+}
+
 TEST(PipelineSimTest, StashDepthMatchesStartupDepth) {
   const auto profile = UniformProfile(8);
   const auto plan = MakeStraightPlan(8, {2, 4, 6});
@@ -311,17 +349,16 @@ TEST(PipelineSimTest, GPipeRecomputeCostsThroughputSavesMemory) {
   const auto profile = UniformProfile(8, 0.010, 4 << 20, 1 << 20);
   const auto plan = MakeStraightPlan(8, {2, 4, 6});
   const auto topo = HardwareTopology::Flat(4, 1e10);
-  auto run = [&](double recompute, bool discard) {
+  auto run = [&](bool recompute) {
     SimOptions options;
     options.schedule = ScheduleKind::kGPipe;
     options.gpipe_microbatches = 8;
-    options.gpipe_recompute_overhead = recompute;
-    options.gpipe_discard_activations = discard;
+    options.recompute = recompute;
     options.num_minibatches = 64;
     return SimulatePipeline(profile, plan, topo, options);
   };
-  const auto stash = run(0.0, false);
-  const auto recompute = run(1.0, true);
+  const auto stash = run(false);
+  const auto recompute = run(true);
   EXPECT_LT(recompute.throughput_samples_per_sec, stash.throughput_samples_per_sec);
   int64_t stash_mem = 0;
   int64_t recompute_mem = 0;

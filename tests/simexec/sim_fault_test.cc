@@ -132,21 +132,56 @@ TEST(SimFaultTest, GPipeFaultRollsBackToRoundAlignedCheckpoint) {
   const auto profile = UniformProfile(8);
   const auto plan = MakeStraightPlan(8, {2, 4, 6});
   const auto topo = HardwareTopology::Flat(4, 1e12);
+  for (const ScheduleKind kind : {ScheduleKind::kGPipe, ScheduleKind::kPipeDreamFlush,
+                                  ScheduleKind::kModelParallel}) {
+    SimOptions options;
+    options.schedule = kind;
+    options.gpipe_microbatches = 4;
+    options.num_minibatches = 200;
+    options.fault.enabled = true;
+    options.fault.stage = 3;
+    options.fault.at_minibatch = 130;
+    options.fault.checkpoint_every = 100;
+    const auto result = SimulatePipeline(profile, plan, topo, options);
+
+    EXPECT_GE(result.fault_seconds, 0.0) << ScheduleKindName(kind);
+    EXPECT_GT(result.reexecuted_minibatches, 0) << ScheduleKindName(kind);
+    // Rollback lands on a flush-round boundary at or below the checkpoint grid.
+    EXPECT_LT(result.reexecuted_minibatches,
+              options.fault.checkpoint_every + options.gpipe_microbatches)
+        << ScheduleKindName(kind);
+  }
+}
+
+TEST(SimFaultTest, InterleavedFaultRestartsFromTheCheckpoint) {
+  // 8 chunk-stages on 4 devices (k = 2): killing chunk-stage 5 takes down device 1, which
+  // also hosts stage 1. The restart recompiles every program from the rollback point.
+  const auto profile = UniformProfile(8);
+  const auto plan = MakeStraightPlan(8, {1, 2, 3, 4, 5, 6, 7});
+  const auto topo = HardwareTopology::Flat(8, 1e12);
   SimOptions options;
-  options.schedule = ScheduleKind::kGPipe;
-  options.gpipe_microbatches = 4;
-  options.num_minibatches = 200;
+  options.schedule = ScheduleKind::kInterleaved;
+  options.interleave_chunks = 2;
+  options.num_minibatches = 120;
+  options.record_trace = true;
   options.fault.enabled = true;
-  options.fault.stage = 3;
-  options.fault.at_minibatch = 130;
-  options.fault.checkpoint_every = 100;
+  options.fault.stage = 5;
+  options.fault.at_minibatch = 70;
+  options.fault.checkpoint_every = 50;
   const auto result = SimulatePipeline(profile, plan, topo, options);
 
   EXPECT_GE(result.fault_seconds, 0.0);
   EXPECT_GT(result.reexecuted_minibatches, 0);
-  // Rollback lands on a flush-round boundary at or below the checkpoint grid.
-  EXPECT_LT(result.reexecuted_minibatches,
-            options.fault.checkpoint_every + options.gpipe_microbatches);
+  // Every minibatch ran its forward and backward once on every chunk-stage (the trace
+  // keeps the execution that stuck, not the rolled-back attempt).
+  EXPECT_EQ(result.trace.size(), 2u * 8u * 120u);
+  // The trace validates against the physical placement: chunk-stage s on device s mod 4.
+  std::vector<StageAssignment> placement = plan.stages();
+  for (size_t s = 0; s < placement.size(); ++s) {
+    placement[s].workers = {static_cast<int>(s % 4)};
+  }
+  const Status status = result.trace.Validate(PipelinePlan(std::move(placement)));
+  EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
 TEST(SimFaultTest, WorkerSpeedsScaleCompute) {
