@@ -1,50 +1,21 @@
 #include "src/graph/pool.h"
 
+#include <utility>
+
+#include "src/tensor/ops.h"
+
 namespace pipedream {
 
 Tensor MaxPool2D::Forward(const Tensor& input, LayerContext* ctx, bool training) {
-  PD_CHECK_EQ(input.rank(), 4u);
-  const int64_t batch = input.dim(0);
-  const int64_t channels = input.dim(1);
-  const int64_t in_h = input.dim(2);
-  const int64_t in_w = input.dim(3);
-  const int64_t out_h = (in_h - window_) / stride_ + 1;
-  const int64_t out_w = (in_w - window_) / stride_ + 1;
-  PD_CHECK_GT(out_h, 0);
-  PD_CHECK_GT(out_w, 0);
-
-  // Both are fully written below (one store per output element), so skip the zero fill.
-  Tensor out = Tensor::Uninitialized({batch, channels, out_h, out_w});
-  // Stores the flat input index of each window's argmax for the backward scatter.
-  Tensor argmax = Tensor::Uninitialized({batch, channels, out_h, out_w});
-  for (int64_t n = 0; n < batch; ++n) {
-    for (int64_t c = 0; c < channels; ++c) {
-      for (int64_t oh = 0; oh < out_h; ++oh) {
-        for (int64_t ow = 0; ow < out_w; ++ow) {
-          float best = -3.4e38f;
-          int64_t best_idx = 0;
-          for (int64_t kh = 0; kh < window_; ++kh) {
-            for (int64_t kw = 0; kw < window_; ++kw) {
-              const int64_t ih = oh * stride_ + kh;
-              const int64_t iw = ow * stride_ + kw;
-              const int64_t idx = ((n * channels + c) * in_h + ih) * in_w + iw;
-              const float v = input[idx];
-              if (v > best) {
-                best = v;
-                best_idx = idx;
-              }
-            }
-          }
-          out.At4(n, c, oh, ow) = best;
-          argmax.At4(n, c, oh, ow) = static_cast<float>(best_idx);
-        }
-      }
-    }
-  }
+  Tensor out;
+  Tensor argmax;
+  MaxPool2dForward(input, window_, stride_, &out, &argmax);
   ctx->Clear();
   ctx->saved.push_back(std::move(argmax));
-  ctx->saved.push_back(Tensor({4}, {static_cast<float>(batch), static_cast<float>(channels),
-                                    static_cast<float>(in_h), static_cast<float>(in_w)}));
+  ctx->saved.push_back(Tensor({4}, {static_cast<float>(input.dim(0)),
+                                    static_cast<float>(input.dim(1)),
+                                    static_cast<float>(input.dim(2)),
+                                    static_cast<float>(input.dim(3))}));
   return out;
 }
 
@@ -52,13 +23,11 @@ Tensor MaxPool2D::Backward(const Tensor& grad_output, LayerContext* ctx) {
   PD_CHECK_EQ(ctx->saved.size(), 2u) << name_ << ": backward without matching forward";
   const Tensor& argmax = ctx->saved[0];
   const Tensor& dims = ctx->saved[1];
-  PD_CHECK(grad_output.SameShape(argmax));
-  Tensor grad_input({static_cast<int64_t>(dims[0]), static_cast<int64_t>(dims[1]),
-                     static_cast<int64_t>(dims[2]), static_cast<int64_t>(dims[3])});
-  const int64_t n = grad_output.numel();
-  for (int64_t i = 0; i < n; ++i) {
-    grad_input[static_cast<int64_t>(argmax[i])] += grad_output[i];
-  }
+  Tensor grad_input;
+  MaxPool2dBackward(grad_output, argmax, window_, stride_,
+                    {static_cast<int64_t>(dims[0]), static_cast<int64_t>(dims[1]),
+                     static_cast<int64_t>(dims[2]), static_cast<int64_t>(dims[3])},
+                    &grad_input);
   ctx->Clear();
   return grad_input;
 }

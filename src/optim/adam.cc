@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/optim/state.h"
 
 namespace pipedream {
 
@@ -34,8 +35,8 @@ void Adam::Step(const std::vector<Parameter*>& params) {
     float* v = v_[i].data();
     const int64_t n = p->value.numel();
     for (int64_t j = 0; j < n; ++j) {
-      m[j] = b1 * m[j] + (1.0f - b1) * grad[j];
-      v[j] = b2 * v[j] + (1.0f - b2) * grad[j] * grad[j];
+      m[j] = StateValue(b1 * m[j] + (1.0f - b1) * grad[j]);
+      v[j] = StateValue(b2 * v[j] + (1.0f - b2) * grad[j] * grad[j]);
       value[j] -= lr * m[j] / (std::sqrt(v[j]) + eps);
     }
   }

@@ -17,6 +17,8 @@ class Adam : public Optimizer {
   std::unique_ptr<Optimizer> CloneFresh() const override {
     return std::make_unique<Adam>(learning_rate_, beta1_, beta2_, epsilon_);
   }
+  // Every m, then every v.
+  std::vector<const Tensor*> State() const override { return StateOf({&m_, &v_}); }
 
  private:
   double beta1_;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/optim/state.h"
 #include "src/tensor/ops.h"
 
 namespace pipedream {
@@ -37,7 +38,7 @@ void Lars::Step(const std::vector<Parameter*>& params) {
     float* vel = velocity_[i].data();
     const int64_t n = p->value.numel();
     for (int64_t j = 0; j < n; ++j) {
-      vel[j] = mu * vel[j] + lr * (grad[j] + wd * value[j]);
+      vel[j] = StateValue(mu * vel[j] + lr * (grad[j] + wd * value[j]));
       value[j] -= vel[j];
     }
   }

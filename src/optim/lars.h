@@ -23,6 +23,7 @@ class Lars : public Optimizer {
     return std::make_unique<Lars>(learning_rate_, momentum_, weight_decay_,
                                   trust_coefficient_);
   }
+  std::vector<const Tensor*> State() const override { return StateOf({&velocity_}); }
 
  private:
   double momentum_;

@@ -4,6 +4,7 @@
 #ifndef SRC_OPTIM_OPTIMIZER_H_
 #define SRC_OPTIM_OPTIMIZER_H_
 
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -23,11 +24,27 @@ class Optimizer {
   // own optimizer state).
   virtual std::unique_ptr<Optimizer> CloneFresh() const = 0;
 
+  // The state buffers (momentum, moments), one per parameter per kind, positional like
+  // Step's parameters. Empty for stateless optimizers and before the first Step.
+  virtual std::vector<const Tensor*> State() const { return {}; }
+
   double learning_rate() const { return learning_rate_; }
   void set_learning_rate(double lr) { learning_rate_ = lr; }
 
  protected:
   explicit Optimizer(double learning_rate) : learning_rate_(learning_rate) {}
+
+  // Pointers to every tensor of each buffer list, in order, for State().
+  static std::vector<const Tensor*> StateOf(
+      std::initializer_list<const std::vector<Tensor>*> buffers) {
+    std::vector<const Tensor*> state;
+    for (const std::vector<Tensor>* buffer : buffers) {
+      for (const Tensor& t : *buffer) {
+        state.push_back(&t);
+      }
+    }
+    return state;
+  }
 
   double learning_rate_;
 };

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/optim/state.h"
 
 namespace pipedream {
 
@@ -30,7 +31,7 @@ void Sgd::Step(const std::vector<Parameter*>& params) {
     } else {
       float* vel = velocity_[i].data();
       for (int64_t j = 0; j < n; ++j) {
-        vel[j] = mu * vel[j] + grad[j] + wd * value[j];
+        vel[j] = StateValue(mu * vel[j] + grad[j] + wd * value[j]);
         value[j] -= lr * vel[j];
       }
     }

@@ -16,6 +16,7 @@ class Sgd : public Optimizer {
   std::unique_ptr<Optimizer> CloneFresh() const override {
     return std::make_unique<Sgd>(learning_rate_, momentum_, weight_decay_);
   }
+  std::vector<const Tensor*> State() const override { return StateOf({&velocity_}); }
 
  private:
   double momentum_;

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "src/common/thread_pool.h"
@@ -154,9 +155,8 @@ void PackB(const float* b, int64_t ldb, bool tb, int64_t k0, int64_t kc, int64_t
 // 6x16 tile — because an indexed local array reliably ends up in memory instead of
 // registers, which costs ~10x. GCC/Clang vector extensions compile to broadcast-FMA
 // sequences on any SIMD ISA (and to scalar code elsewhere).
-#if defined(__GNUC__) || defined(__clang__)
-
 typedef float Vec8 __attribute__((vector_size(32)));
+constexpr int64_t kLanes = 8;  // floats per Vec8
 
 inline Vec8 LoadU(const float* p) {
   Vec8 v;
@@ -167,6 +167,23 @@ inline Vec8 LoadU(const float* p) {
 inline void StoreU(float* p, Vec8 v) { __builtin_memcpy(p, &v, sizeof(v)); }
 
 inline Vec8 Splat(float x) { return Vec8{x, x, x, x, x, x, x, x}; }
+
+// The first `count` (< 8) lanes of p, zeros after; touches no memory past p + count.
+inline Vec8 LoadPartial(const float* p, int64_t count) {
+  Vec8 v{};
+  __builtin_memcpy(&v, p, static_cast<size_t>(count) * sizeof(float));
+  return v;
+}
+
+// Writes the first `count` (<= 8) lanes of v to p.
+inline void StorePartial(float* p, Vec8 v, int64_t count) {
+  __builtin_memcpy(p, &v, static_cast<size_t>(count) * sizeof(float));
+}
+
+// Lane sum in a fixed pairwise order.
+inline float HorizontalSum(Vec8 v) {
+  return ((v[0] + v[4]) + (v[2] + v[6])) + ((v[1] + v[5]) + (v[3] + v[7]));
+}
 
 inline void MicroKernel(int64_t kc, const float* __restrict__ apanel,
                         const float* __restrict__ bpanel, float* __restrict__ acc) {
@@ -190,28 +207,6 @@ inline void MicroKernel(int64_t kc, const float* __restrict__ apanel,
   StoreU(acc + 4 * kNr, c40); StoreU(acc + 4 * kNr + 8, c41);
   StoreU(acc + 5 * kNr, c50); StoreU(acc + 5 * kNr + 8, c51);
 }
-
-#else  // portable fallback
-
-inline void MicroKernel(int64_t kc, const float* __restrict__ apanel,
-                        const float* __restrict__ bpanel, float* __restrict__ acc) {
-  for (int64_t r = 0; r < kMr * kNr; ++r) {
-    acc[r] = 0.0f;
-  }
-  for (int64_t kk = 0; kk < kc; ++kk) {
-    const float* a = apanel + kk * kMr;
-    const float* b = bpanel + kk * kNr;
-    for (int64_t r = 0; r < kMr; ++r) {
-      const float av = a[r];
-      float* c = acc + r * kNr;
-      for (int64_t j = 0; j < kNr; ++j) {
-        c[j] += av * b[j];
-      }
-    }
-  }
-}
-
-#endif
 
 // ---------------------------------------------------------------------------------------
 // Explicit-SIMD micro-kernels. Tile sizes follow the register file of the widest ISA the
@@ -599,7 +594,8 @@ void MatMul(const Tensor& a, const Tensor& b, Tensor* out) {
 }
 
 // ---------------------------------------------------------------------------------------
-// Convolution: im2col lowering onto the blocked GEMM.
+// Convolution: a direct kernel for stride 1 with padding < kernel, im2col lowering onto
+// the packed GEMM for every other geometry.
 // ---------------------------------------------------------------------------------------
 
 void ConvGeometry::Check(const Tensor& input, const Tensor& weight, const Tensor& bias) const {
@@ -681,6 +677,292 @@ void Col2Im(const float* col, const ConvGeometry& g, float* in_grad) {
   }
 }
 
+// ---------------------------------------------------------------------------------------
+// Direct convolution, for stride 1 with padding < kernel.
+//
+// Each sample is copied into a zero-padded slab: per channel, in_h + 2p rows of
+// 8 * ceil(out_w / 8) + k - 1 columns, so every tap's vector load stays inside its row and
+// the inner loops test no bounds. The forward kernel register-blocks 8 output channels x 2
+// vectors of output columns (16 independent FMA chains; 8 at a row's odd last vector)
+// against weights packed as [oc block][ic][kh][kw][8]; a last block of at most 4 channels
+// runs 4 channels x 4 vectors instead, so a 3-channel convolution wastes 1/4 of its
+// lanes, not 5/8. Every output adds its taps to the bias in (ic, kh, kw) order.
+//
+// The data gradient is the same kernel run on the output gradient padded by k - 1 - p,
+// with the weights flipped and their channel axes swapped. The weight gradient keeps one
+// vector partial per (oc, ic, tap), accumulated over the samples in batch order and
+// reduced once at the end. Forward and data gradient parallelize over samples and the
+// weight gradient over output channels, so each output element comes from one fixed
+// sequence of operations at any thread budget.
+// ---------------------------------------------------------------------------------------
+
+constexpr int64_t kDirectOc = 8;  // output channels per register block
+
+bool UseDirectConv(const ConvGeometry& g) { return g.stride == 1 && g.padding < g.kernel; }
+
+// A stride-1 convolution of `batch` samples, and the padded slab layout it runs on.
+struct DirectConv {
+  int64_t batch, in_c, in_h, in_w, out_c, kernel, pad;
+
+  int64_t out_h() const { return in_h + 2 * pad - kernel + 1; }
+  int64_t out_w() const { return in_w + 2 * pad - kernel + 1; }
+  int64_t vecs() const { return (out_w() + kLanes - 1) / kLanes; }  // vectors per out row
+  int64_t rows() const { return in_h + 2 * pad; }
+  int64_t cols() const { return vecs() * kLanes + kernel - 1; }
+  int64_t slab() const { return in_c * rows() * cols(); }
+  int64_t taps() const { return kernel * kernel; }
+  int64_t oc_blocks() const { return (out_c + kDirectOc - 1) / kDirectOc; }
+  int64_t packed_weights() const { return oc_blocks() * in_c * taps() * kDirectOc; }
+};
+
+// Copies one [in_c, in_h, in_w] sample into the interior of a slab whose padding is zero.
+void FillSlab(const float* in, const DirectConv& d, float* slab) {
+  const int64_t rows = d.rows();
+  const int64_t cols = d.cols();
+  for (int64_t c = 0; c < d.in_c; ++c) {
+    for (int64_t h = 0; h < d.in_h; ++h) {
+      std::memcpy(slab + (c * rows + h + d.pad) * cols + d.pad,
+                  in + (c * d.in_h + h) * d.in_w, static_cast<size_t>(d.in_w) * sizeof(float));
+    }
+  }
+}
+
+// Packs [OC, IC, K, K] weights as [oc block][in channel][tap][8], zero past out_c. With
+// `flip`, d is the data-gradient convolution (in_c = OC, out_c = IC) and each tap reads
+// the spatially flipped weight.
+void PackDirectWeights(const float* w, const DirectConv& d, bool flip, float* dst) {
+  const int64_t taps = d.taps();
+  for (int64_t b = 0; b < d.oc_blocks(); ++b) {
+    for (int64_t c = 0; c < d.in_c; ++c) {
+      for (int64_t t = 0; t < taps; ++t) {
+        float* lanes = dst + ((b * d.in_c + c) * taps + t) * kDirectOc;
+        for (int64_t j = 0; j < kDirectOc; ++j) {
+          const int64_t o = b * kDirectOc + j;
+          lanes[j] = o >= d.out_c ? 0.0f
+                     : flip       ? w[(c * d.out_c + o) * taps + taps - 1 - t]
+                                  : w[(o * d.in_c + c) * taps + t];
+        }
+      }
+    }
+  }
+}
+
+// Output row oh, vectors [v0, v0 + NV), of the first OC channels of the block whose
+// packed weights are wblk, stored to the first `channels` planes at out. The accumulator
+// loops have constant trip counts, so they unroll and the OC x NV accumulators stay in
+// registers.
+template <int64_t OC, int64_t NV>
+void DirectConvTile(const float* __restrict__ slab, const DirectConv& d,
+                    const float* __restrict__ wblk, const float* bias8, int64_t channels,
+                    int64_t oh, int64_t v0, float* __restrict__ out) {
+  Vec8 acc[OC][NV];
+  for (int64_t j = 0; j < OC; ++j) {
+    for (int64_t v = 0; v < NV; ++v) {
+      acc[j][v] = Splat(bias8[j]);
+    }
+  }
+  const int64_t k = d.kernel;
+  const int64_t cols = d.cols();
+  const float* base = slab + oh * cols + v0 * kLanes;
+  for (int64_t c = 0; c < d.in_c; ++c) {
+    for (int64_t kh = 0; kh < k; ++kh) {
+      const float* row = base + (c * d.rows() + kh) * cols;
+      const float* wrow = wblk + (c * k + kh) * k * kDirectOc;
+      for (int64_t kw = 0; kw < k; ++kw) {
+        Vec8 x[NV];
+        for (int64_t v = 0; v < NV; ++v) {
+          x[v] = LoadU(row + kw + v * kLanes);
+        }
+        const float* wt = wrow + kw * kDirectOc;
+        for (int64_t j = 0; j < OC; ++j) {
+          const Vec8 wj = Splat(wt[j]);
+          for (int64_t v = 0; v < NV; ++v) {
+            acc[j][v] += wj * x[v];
+          }
+        }
+      }
+    }
+  }
+  const int64_t out_h = d.out_h();
+  const int64_t out_w = d.out_w();
+  for (int64_t j = 0; j < OC; ++j) {
+    if (j >= channels) {
+      break;
+    }
+    for (int64_t v = 0; v < NV; ++v) {
+      const int64_t ow = (v0 + v) * kLanes;
+      float* dst = out + (j * out_h + oh) * out_w + ow;
+      const int64_t count = std::min(kLanes, out_w - ow);
+      if (count == kLanes) {
+        StoreU(dst, acc[j][v]);
+      } else {
+        StorePartial(dst, acc[j][v], count);
+      }
+    }
+  }
+}
+
+// Output row oh from vector v0 on: NV-vector tiles, then narrower ones for the rest.
+template <int64_t OC, int64_t NV>
+void DirectConvRow(const float* slab, const DirectConv& d, const float* wblk,
+                   const float* bias8, int64_t channels, int64_t oh, int64_t v0, float* out) {
+  int64_t v = v0;
+  for (; v + NV <= d.vecs(); v += NV) {
+    DirectConvTile<OC, NV>(slab, d, wblk, bias8, channels, oh, v, out);
+  }
+  if constexpr (NV > 1) {
+    if (v < d.vecs()) {
+      DirectConvRow<OC, NV / 2>(slab, d, wblk, bias8, channels, oh, v, out);
+    }
+  }
+}
+
+// out[n] = bias + conv(in[n]) for every sample; out is [batch, out_c, out_h, out_w] and is
+// fully written. wpack comes from PackDirectWeights; a null bias means zero.
+void DirectConvForward(const float* in, const DirectConv& d, const float* wpack,
+                       const float* bias, float* out) {
+  const int64_t in_numel = d.in_c * d.in_h * d.in_w;
+  const int64_t plane = d.out_h() * d.out_w();
+  ParallelFor(0, d.batch, 1, [&](int64_t /*chunk*/, int64_t lo, int64_t hi) {
+    PoolScratch slab(d.slab(), /*zero=*/true);  // FillSlab rewrites only the interior
+    for (int64_t n = lo; n < hi; ++n) {
+      FillSlab(in + n * in_numel, d, slab.data());
+      for (int64_t b = 0; b < d.oc_blocks(); ++b) {
+        const int64_t oc0 = b * kDirectOc;
+        const int64_t channels = std::min(kDirectOc, d.out_c - oc0);
+        float bias8[kDirectOc] = {};
+        for (int64_t j = 0; j < channels && bias != nullptr; ++j) {
+          bias8[j] = bias[oc0 + j];
+        }
+        const float* wblk = wpack + b * d.in_c * d.taps() * kDirectOc;
+        float* oblk = out + (n * d.out_c + oc0) * plane;
+        for (int64_t oh = 0; oh < d.out_h(); ++oh) {
+          if (channels > kDirectOc / 2) {
+            DirectConvRow<kDirectOc, 2>(slab.data(), d, wblk, bias8, channels, oh, 0, oblk);
+          } else {
+            DirectConvRow<kDirectOc / 2, 4>(slab.data(), d, wblk, bias8, channels, oh, 0,
+                                            oblk);
+          }
+        }
+      }
+    }
+  });
+}
+
+// partial[r][c] += gy[oh][ow] * x[oh + r][ow + c] over (oh, ow), lane by lane, for an R x C
+// block of taps whose top-left tap reads x; partial is that tap's slot in a [k][k][8]
+// array. One gradient load feeds R * C independent FMA chains, and every load address is
+// a row pointer plus a constant.
+template <int64_t R, int64_t C>
+void WeightGradBlock(const float* __restrict__ gy, const float* __restrict__ x,
+                     const DirectConv& d, float* __restrict__ partial) {
+  const int64_t cols = d.cols();
+  const int64_t out_w = d.out_w();
+  const int64_t k = d.kernel;
+  Vec8 acc[R][C];
+  for (int64_t r = 0; r < R; ++r) {
+    for (int64_t c = 0; c < C; ++c) {
+      acc[r][c] = LoadU(partial + (r * k + c) * kLanes);
+    }
+  }
+  for (int64_t oh = 0; oh < d.out_h(); ++oh) {
+    const float* grow = gy + oh * out_w;
+    const float* xrow[R];
+    for (int64_t r = 0; r < R; ++r) {
+      xrow[r] = x + (oh + r) * cols;
+    }
+    const auto step = [&](Vec8 g, int64_t ow) {
+      for (int64_t r = 0; r < R; ++r) {
+        for (int64_t c = 0; c < C; ++c) {
+          acc[r][c] += g * LoadU(xrow[r] + ow + c);
+        }
+      }
+    };
+    // The row's last partial vector gets its own step outside the loop: LoadPartial is a
+    // library call, which would make the accumulators round-trip through memory every
+    // iteration.
+    int64_t ow = 0;
+    for (; ow + kLanes <= out_w; ow += kLanes) {
+      step(LoadU(grow + ow), ow);
+    }
+    if (ow < out_w) {
+      step(LoadPartial(grow + ow, out_w - ow), ow);
+    }
+  }
+  for (int64_t r = 0; r < R; ++r) {
+    for (int64_t c = 0; c < C; ++c) {
+      StoreU(partial + (r * k + c) * kLanes, acc[r][c]);
+    }
+  }
+}
+
+// Weight-gradient blocks by [rows - 1][columns - 1]; a kernel's taps are tiled 3 x 3.
+constexpr int64_t kTapBlock = 3;
+using WeightGradBlockFn = void (*)(const float*, const float*, const DirectConv&, float*);
+constexpr WeightGradBlockFn kWeightGradBlocks[kTapBlock][kTapBlock] = {
+    {&WeightGradBlock<1, 1>, &WeightGradBlock<1, 2>, &WeightGradBlock<1, 3>},
+    {&WeightGradBlock<2, 1>, &WeightGradBlock<2, 2>, &WeightGradBlock<2, 3>},
+    {&WeightGradBlock<3, 1>, &WeightGradBlock<3, 2>, &WeightGradBlock<3, 3>},
+};
+
+// Sum of p[0, n) as one vector partial plus a scalar tail.
+float VectorSum(const float* p, int64_t n) {
+  Vec8 acc{};
+  int64_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    acc += LoadU(p + i);
+  }
+  float total = HorizontalSum(acc);
+  for (; i < n; ++i) {
+    total += p[i];
+  }
+  return total;
+}
+
+void DirectConvBackward(const Tensor& input, const Tensor& weight, const Tensor& grad_output,
+                        const ConvGeometry& g, float* grad_weight, float* grad_bias,
+                        float* grad_input) {
+  const DirectConv d{g.batch, g.in_channels, g.in_h, g.in_w, g.out_channels, g.kernel,
+                     g.padding};
+  const int64_t in_numel = d.in_c * d.in_h * d.in_w;
+  const int64_t plane = d.out_h() * d.out_w();
+  const int64_t taps = d.taps();
+  const int64_t weights = d.out_c * d.in_c * taps;
+  PoolScratch partials(weights * kLanes, /*zero=*/true);  // [oc][ic][tap][lane]
+  PoolScratch slab(d.slab(), /*zero=*/true);
+  for (int64_t n = 0; n < g.batch; ++n) {
+    FillSlab(input.data() + n * in_numel, d, slab.data());
+    const float* gy = grad_output.data() + n * d.out_c * plane;
+    ParallelFor(0, d.out_c, 1, [&](int64_t /*chunk*/, int64_t lo, int64_t hi) {
+      for (int64_t oc = lo; oc < hi; ++oc) {
+        const float* gyo = gy + oc * plane;
+        grad_bias[oc] += VectorSum(gyo, plane);
+        for (int64_t ic = 0; ic < d.in_c; ++ic) {
+          const float* xplane = slab.data() + ic * d.rows() * d.cols();
+          float* partial = partials.data() + (oc * d.in_c + ic) * taps * kLanes;
+          for (int64_t kh = 0; kh < d.kernel; kh += kTapBlock) {
+            for (int64_t kw = 0; kw < d.kernel; kw += kTapBlock) {
+              const int64_t rows = std::min(kTapBlock, d.kernel - kh);
+              const int64_t columns = std::min(kTapBlock, d.kernel - kw);
+              kWeightGradBlocks[rows - 1][columns - 1](
+                  gyo, xplane + kh * d.cols() + kw, d,
+                  partial + (kh * d.kernel + kw) * kLanes);
+            }
+          }
+        }
+      }
+    });
+  }
+  for (int64_t i = 0; i < weights; ++i) {
+    grad_weight[i] += HorizontalSum(LoadU(partials.data() + i * kLanes));
+  }
+  const DirectConv dt{g.batch, g.out_channels, d.out_h(), d.out_w(), g.in_channels, g.kernel,
+                      g.kernel - 1 - g.padding};
+  PoolScratch flipped(dt.packed_weights());
+  PackDirectWeights(weight.data(), dt, /*flip=*/true, flipped.data());
+  DirectConvForward(grad_output.data(), dt, flipped.data(), nullptr, grad_input);
+}
+
 }  // namespace
 
 void Conv2dForward(const Tensor& input, const Tensor& weight, const Tensor& bias,
@@ -696,8 +978,16 @@ void Conv2dForward(const Tensor& input, const Tensor& weight, const Tensor& bias
   const int64_t patch = g.in_channels * g.kernel * g.kernel;
   if (out->rank() != 4 || out->dim(0) != g.batch || out->dim(1) != g.out_channels ||
       out->dim(2) != out_h || out->dim(3) != out_w) {
-    // Every element is written below (bias fill + GEMM accumulate), so skip the zero fill.
+    // Every element is written below, so skip the zero fill.
     *out = Tensor::Uninitialized({g.batch, g.out_channels, out_h, out_w});
+  }
+  if (UseDirectConv(g)) {
+    const DirectConv d{g.batch, g.in_channels, g.in_h, g.in_w, g.out_channels, g.kernel,
+                       g.padding};
+    PoolScratch wpack(d.packed_weights());
+    PackDirectWeights(weight.data(), d, /*flip=*/false, wpack.data());
+    DirectConvForward(input.data(), d, wpack.data(), bias.data(), out->data());
+    return;
   }
   // Samples write disjoint output slabs and only read the shared weights, so the batch
   // loop parallelizes deterministically; each chunk owns a private im2col buffer.
@@ -735,6 +1025,14 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight, const Tensor& gra
   PD_CHECK_EQ(grad_output.dim(1), g.out_channels);
   PD_CHECK_EQ(grad_output.dim(2), out_h);
   PD_CHECK_EQ(grad_output.dim(3), out_w);
+  if (UseDirectConv(g)) {
+    if (!grad_input->SameShape(input)) {
+      *grad_input = Tensor::Uninitialized(input.shape());  // fully written
+    }
+    DirectConvBackward(input, weight, grad_output, g, grad_weight->data(), grad_bias->data(),
+                       grad_input->data());
+    return;
+  }
   if (!grad_input->SameShape(input)) {
     *grad_input = Tensor(input.shape());
   } else {
@@ -852,6 +1150,158 @@ void AddBiasRows(Tensor* matrix, const Tensor& bias) {
                   }
                 }
               });
+}
+
+// ---------------------------------------------------------------------------------------
+// ReLU and max pooling. Raw-pointer loops whose selects compile to compares and blends, not
+// branches (a branch mispredicts on about half of signed activations). Each op writes a
+// fresh output rather than detaching a copy-on-write share of its input.
+// ---------------------------------------------------------------------------------------
+
+void Relu(const Tensor& input, Tensor* out) {
+  Tensor result = Tensor::Uninitialized(input.shape());  // fully written below
+  const float* pi = input.data();
+  float* po = result.data();
+  ParallelFor(0, input.numel(), kElementwiseGrain,
+              [&](int64_t /*chunk*/, int64_t lo, int64_t hi) {
+                for (int64_t i = lo; i < hi; ++i) {
+                  po[i] = pi[i] > 0.0f ? pi[i] : 0.0f;
+                }
+              });
+  *out = std::move(result);
+}
+
+void ReluBackward(const Tensor& output, const Tensor& grad_output, Tensor* grad_input) {
+  PD_CHECK(grad_output.SameShape(output));
+  Tensor result = Tensor::Uninitialized(output.shape());  // fully written below
+  const float* po = output.data();
+  const float* pg = grad_output.data();
+  float* pr = result.data();
+  ParallelFor(0, output.numel(), kElementwiseGrain,
+              [&](int64_t /*chunk*/, int64_t lo, int64_t hi) {
+                for (int64_t i = lo; i < hi; ++i) {
+                  const float g = pg[i];  // unconditional load, so the select vectorizes
+                  pr[i] = po[i] > 0.0f ? g : 0.0f;
+                }
+              });
+  *grad_input = std::move(result);
+}
+
+namespace {
+
+// Max pooling of one [in_h, in_w] plane into [out_h, out_w] maxima and window offsets.
+// W and S are the window and stride when fixed at compile time, 0 to take them from the
+// arguments: the 2x2, stride-2 instance vectorizes over output columns, with blends for
+// the selects.
+template <int64_t W, int64_t S>
+void MaxPoolPlane(const float* __restrict__ src, int64_t in_w, int64_t out_h, int64_t out_w,
+                  int64_t window_arg, int64_t stride_arg, float* __restrict__ best_out,
+                  float* __restrict__ offset_out) {
+  const int64_t window = W > 0 ? W : window_arg;
+  const int64_t stride = S > 0 ? S : stride_arg;
+  for (int64_t oh = 0; oh < out_h; ++oh) {
+    for (int64_t ow = 0; ow < out_w; ++ow) {
+      const float* win = src + oh * stride * in_w + ow * stride;
+      // Starting from the window's own first element keeps an all -inf window's max and
+      // argmax inside the window.
+      float best = win[0];
+      float offset = 0.0f;
+      for (int64_t kh = 0; kh < window; ++kh) {
+        for (int64_t kw = 0; kw < window; ++kw) {
+          const float v = win[kh * in_w + kw];
+          const bool better = v > best;
+          best = better ? v : best;
+          offset = better ? static_cast<float>(kh * window + kw) : offset;
+        }
+      }
+      best_out[oh * out_w + ow] = best;
+      offset_out[oh * out_w + ow] = offset;
+    }
+  }
+}
+
+// Adds each output gradient of one plane to its window's argmax element: every window
+// element receives the gradient or +0, so overlapping windows accumulate and the offset
+// is compared, not decoded. W and S as for MaxPoolPlane.
+template <int64_t W, int64_t S>
+void MaxPoolPlaneBackward(const float* __restrict__ grad, const float* __restrict__ offsets,
+                          int64_t in_w, int64_t out_h, int64_t out_w, int64_t window_arg,
+                          int64_t stride_arg, float* __restrict__ dst) {
+  const int64_t window = W > 0 ? W : window_arg;
+  const int64_t stride = S > 0 ? S : stride_arg;
+  for (int64_t oh = 0; oh < out_h; ++oh) {
+    for (int64_t kh = 0; kh < window; ++kh) {
+      float* row = dst + (oh * stride + kh) * in_w;
+      for (int64_t ow = 0; ow < out_w; ++ow) {
+        const float g = grad[oh * out_w + ow];  // unconditional load, so the select vectorizes
+        const float offset = offsets[oh * out_w + ow];
+        for (int64_t kw = 0; kw < window; ++kw) {
+          row[ow * stride + kw] += offset == static_cast<float>(kh * window + kw) ? g : 0.0f;
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void MaxPool2dForward(const Tensor& input, int64_t window, int64_t stride, Tensor* out,
+                      Tensor* argmax) {
+  PD_CHECK_EQ(input.rank(), 4u);
+  PD_CHECK_GT(window, 0);
+  PD_CHECK_GT(stride, 0);
+  const int64_t in_h = input.dim(2);
+  const int64_t in_w = input.dim(3);
+  const int64_t out_h = (in_h - window) / stride + 1;
+  const int64_t out_w = (in_w - window) / stride + 1;
+  PD_CHECK_GT(out_h, 0);
+  PD_CHECK_GT(out_w, 0);
+  const std::vector<int64_t> shape = {input.dim(0), input.dim(1), out_h, out_w};
+  Tensor result = Tensor::Uninitialized(shape);  // both fully written below
+  Tensor offsets = Tensor::Uninitialized(shape);
+  const float* pi = input.data();
+  float* po = result.data();
+  float* pa = offsets.data();
+  const auto plane = window == 2 && stride == 2 ? &MaxPoolPlane<2, 2> : &MaxPoolPlane<0, 0>;
+  // Planes are independent; the grain depends only on the shape.
+  const int64_t grain = std::max<int64_t>(1, kElementwiseGrain / (in_h * in_w));
+  ParallelFor(0, input.dim(0) * input.dim(1), grain,
+              [&](int64_t /*chunk*/, int64_t lo, int64_t hi) {
+                for (int64_t p = lo; p < hi; ++p) {
+                  plane(pi + p * in_h * in_w, in_w, out_h, out_w, window, stride,
+                        po + p * out_h * out_w, pa + p * out_h * out_w);
+                }
+              });
+  *out = std::move(result);
+  *argmax = std::move(offsets);
+}
+
+void MaxPool2dBackward(const Tensor& grad_output, const Tensor& argmax, int64_t window,
+                       int64_t stride, const std::vector<int64_t>& input_shape,
+                       Tensor* grad_input) {
+  PD_CHECK(grad_output.SameShape(argmax));
+  PD_CHECK_EQ(grad_output.rank(), 4u);
+  PD_CHECK_EQ(input_shape.size(), 4u);
+  Tensor result(input_shape);
+  const int64_t in_h = input_shape[2];
+  const int64_t in_w = input_shape[3];
+  const int64_t out_h = grad_output.dim(2);
+  const int64_t out_w = grad_output.dim(3);
+  const float* pg = grad_output.data();
+  const float* pa = argmax.data();
+  float* pr = result.data();
+  const auto plane = window == 2 && stride == 2 ? &MaxPoolPlaneBackward<2, 2>
+                                                 : &MaxPoolPlaneBackward<0, 0>;
+  // A plane's gradient comes only from its own outputs, so planes are disjoint work.
+  const int64_t grain = std::max<int64_t>(1, kElementwiseGrain / (in_h * in_w));
+  ParallelFor(0, input_shape[0] * input_shape[1], grain,
+              [&](int64_t /*chunk*/, int64_t lo, int64_t hi) {
+                for (int64_t p = lo; p < hi; ++p) {
+                  plane(pg + p * out_h * out_w, pa + p * out_h * out_w, in_w, out_h, out_w,
+                        window, stride, pr + p * in_h * in_w);
+                }
+              });
+  *grad_input = std::move(result);
 }
 
 // ---------------------------------------------------------------------------------------

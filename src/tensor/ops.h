@@ -13,6 +13,7 @@
 #define SRC_TENSOR_OPS_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "src/tensor/tensor.h"
 
@@ -77,16 +78,35 @@ struct ConvGeometry {
 };
 
 // out[n,oc,oh,ow] = bias[oc] + sum_{ic,kh,kw} input[n,ic,...] * weight[oc,ic,kh,kw].
-// input is [N, IC, H, W], weight [OC, IC, K, K], bias [OC]. The default implementation
-// lowers each sample onto the blocked GEMM via im2col.
+// input is [N, IC, H, W], weight [OC, IC, K, K], bias [OC]. The default implementations
+// lower by geometry: stride 1 with padding < kernel runs a direct convolution on a
+// zero-padded copy of each sample; every other geometry unfolds each sample via im2col
+// onto the packed GEMM.
 void Conv2dForward(const Tensor& input, const Tensor& weight, const Tensor& bias,
                    const ConvGeometry& g, Tensor* out);
 
 // Accumulates grad_weight / grad_bias (+=, caller zeroes between steps, matching Parameter
-// semantics) and overwrites grad_input.
+// semantics) and overwrites grad_input. Sums over samples run in batch order.
 void Conv2dBackward(const Tensor& input, const Tensor& weight, const Tensor& grad_output,
                     const ConvGeometry& g, Tensor* grad_weight, Tensor* grad_bias,
                     Tensor* grad_input);
+
+// out = input > 0 ? input : 0 elementwise, so NaN and -0.0 both become +0.0. out is
+// replaced by a fresh tensor.
+void Relu(const Tensor& input, Tensor* out);
+// grad_input = output > 0 ? grad_output : 0, where output is Relu's result.
+void ReluBackward(const Tensor& output, const Tensor& grad_output, Tensor* grad_input);
+
+// Max pooling of an NCHW input over window x window patches at the given stride (no
+// padding). argmax receives, per output element, the window-local offset kh * window + kw
+// of the first maximum in row-major order, as a float. Both outputs are fresh tensors.
+void MaxPool2dForward(const Tensor& input, int64_t window, int64_t stride, Tensor* out,
+                      Tensor* argmax);
+// Scatter-adds grad_output through MaxPool2dForward's argmax into a fresh zeroed
+// grad_input of input_shape.
+void MaxPool2dBackward(const Tensor& grad_output, const Tensor& argmax, int64_t window,
+                       int64_t stride, const std::vector<int64_t>& input_shape,
+                       Tensor* grad_input);
 
 // Elementwise out = a + b (shapes must match).
 void Add(const Tensor& a, const Tensor& b, Tensor* out);

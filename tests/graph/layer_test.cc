@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "src/common/rng.h"
 #include "src/graph/activation.h"
 #include "src/graph/conv.h"
@@ -68,6 +71,27 @@ TEST(ActivationTest, ReluBackwardMasks) {
   EXPECT_EQ(gin[1], 10.0f);
 }
 
+TEST(ActivationTest, ReluMapsNanAndNegativeZeroToPositiveZero) {
+  Activation relu("r", ActivationKind::kRelu);
+  LayerContext ctx;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor in({1, 4}, {nan, -0.0f, 0.0f, 2.0f});
+  const Tensor out = relu.Forward(in, &ctx, true);
+  for (int64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(out[i], 0.0f) << i;
+    EXPECT_FALSE(std::signbit(out[i])) << i;
+  }
+  EXPECT_EQ(out[3], 2.0f);
+  // The gradient is selected, not multiplied by a mask: where the output is 0 it is 0,
+  // even when the incoming gradient is NaN.
+  Tensor grad({1, 4}, {nan, 3.0f, 4.0f, 5.0f});
+  const Tensor gin = relu.Backward(grad, &ctx);
+  EXPECT_EQ(gin[0], 0.0f);
+  EXPECT_EQ(gin[1], 0.0f);
+  EXPECT_EQ(gin[2], 0.0f);
+  EXPECT_EQ(gin[3], 5.0f);
+}
+
 TEST(ActivationTest, SigmoidRange) {
   Activation sig("s", ActivationKind::kSigmoid);
   LayerContext ctx;
@@ -125,6 +149,45 @@ TEST(MaxPoolTest, BackwardRoutesToArgmax) {
   EXPECT_EQ(gin[0], 0.0f);
   EXPECT_EQ(gin[1], 5.0f);  // position of the max
   EXPECT_EQ(gin[2], 0.0f);
+}
+
+TEST(MaxPoolTest, AllNegativeInfinityWindowRoutesWithinItself) {
+  MaxPool2D pool("p", 2, 2);
+  LayerContext ctx;
+  const float inf = std::numeric_limits<float>::infinity();
+  Tensor in({1, 1, 2, 4}, {1, 2, -inf, -inf,  //
+                           3, 4, -inf, -inf});
+  const Tensor out = pool.Forward(in, &ctx, true);
+  EXPECT_EQ(out.At4(0, 0, 0, 0), 4.0f);
+  EXPECT_EQ(out.At4(0, 0, 0, 1), -inf);
+  Tensor grad({1, 1, 1, 2}, {5.0f, 7.0f});
+  const Tensor gin = pool.Backward(grad, &ctx);
+  EXPECT_EQ(gin[5], 5.0f);  // the first window's max
+  EXPECT_EQ(gin[2], 7.0f);  // the second window's first element, not element 0
+  EXPECT_EQ(gin[0], 0.0f);
+  EXPECT_EQ(Sum(gin), 12.0);
+}
+
+TEST(MaxPoolTest, BackwardRoutesExactlyPastTwoToThe24Elements) {
+  // Four rows of 2^22 + 4 columns hold 2^24 + 16 elements, so a flat index in the last row
+  // can be odd and above 2^24, where float has no exact representation.
+  const int64_t width = (int64_t{1} << 22) + 4;
+  const int64_t col = (int64_t{1} << 22) + 1;  // in the last 4x4 window
+  const int64_t idx = 3 * width + col;         // 2^24 + 13
+  ASSERT_NE(static_cast<int64_t>(static_cast<float>(idx)), idx);
+  MaxPool2D pool("p", 4, 4);
+  LayerContext ctx;
+  Tensor in({1, 1, 4, width});
+  in[idx] = 1.0f;
+  const Tensor out = pool.Forward(in, &ctx, true);
+  const int64_t ow = col / 4;
+  ASSERT_EQ(ow, out.dim(3) - 1);
+  EXPECT_EQ(out.At4(0, 0, 0, ow), 1.0f);
+  Tensor grad(out.shape());
+  grad.At4(0, 0, 0, ow) = 2.0f;
+  const Tensor gin = pool.Backward(grad, &ctx);
+  EXPECT_EQ(gin[idx], 2.0f);
+  EXPECT_EQ(gin[idx - 1], 0.0f);
 }
 
 TEST(FlattenTest, RoundTripsShape) {

@@ -35,6 +35,28 @@ void DriveQuadratic(Optimizer* opt, int steps, double expect_below) {
   EXPECT_LT(Norm(diff), expect_below);
 }
 
+// Steps an optimizer on a parameter whose gradient is nonzero once and exactly zero after,
+// long enough for its state to decay below FLT_MIN, where the state must be stored as
+// exactly 0 rather than stay subnormal.
+void ExpectStateFlushedToZero(Optimizer* opt, int zero_grad_steps) {
+  Parameter p;
+  p.name = "w";
+  p.value = Tensor({4}, {0.5f, -1.0f, 2.0f, -0.25f});
+  p.grad = Tensor({4}, {1.0f, -2.0f, 0.5f, 3.0f});
+  opt->Step({&p});
+  p.grad.SetZero();
+  for (int i = 0; i < zero_grad_steps; ++i) {
+    opt->Step({&p});
+  }
+  const std::vector<const Tensor*> state = opt->State();
+  ASSERT_FALSE(state.empty());
+  for (const Tensor* t : state) {
+    for (int64_t j = 0; j < t->numel(); ++j) {
+      EXPECT_EQ((*t)[j], 0.0f) << "entry " << j;
+    }
+  }
+}
+
 TEST(SgdTest, ConvergesOnQuadratic) {
   Sgd sgd(0.1);
   DriveQuadratic(&sgd, 100, 1e-3);
@@ -63,6 +85,11 @@ TEST(SgdTest, WeightDecayShrinksWeights) {
   EXPECT_NEAR(p.value[0], 10.0f - 0.1f * 0.01f * 10.0f, 1e-6);
 }
 
+TEST(SgdTest, DeadUnitVelocityIsFlushedToZero) {
+  Sgd sgd(0.01, 0.9);
+  ExpectStateFlushedToZero(&sgd, 1000);  // 0.9^n * 3 passes FLT_MIN near n = 850
+}
+
 TEST(AdamTest, ConvergesOnQuadratic) {
   Adam adam(0.1);
   DriveQuadratic(&adam, 300, 1e-2);
@@ -76,6 +103,12 @@ TEST(AdamTest, FirstStepIsLearningRateSized) {
   p.grad = Tensor({1}, {123.0f});
   adam.Step({&p});
   EXPECT_NEAR(p.value[0], -0.01f, 1e-4);
+}
+
+TEST(AdamTest, DeadUnitMomentsAreFlushedToZero) {
+  Adam adam(0.001);
+  // v decays by 0.999 per step from 0.009: it passes FLT_MIN near n = 83,000.
+  ExpectStateFlushedToZero(&adam, 100000);
 }
 
 TEST(LarsTest, ConvergesOnQuadratic) {
@@ -97,6 +130,12 @@ TEST(LarsTest, LocalRateScalesWithWeightNorm) {
   const double small_step = 1.0 - small.value[0];
   const double big_step = 100.0 - big.value[0];
   EXPECT_NEAR(big_step / small_step, 100.0, 1.0);
+}
+
+TEST(LarsTest, DeadUnitVelocityIsFlushedToZero) {
+  // Without weight decay a zero gradient leaves only the 0.9 momentum decay.
+  Lars lars(0.1, 0.9, 0.0);
+  ExpectStateFlushedToZero(&lars, 1000);
 }
 
 TEST(OptimizerTest, CloneFreshHasEmptyState) {

@@ -9,11 +9,13 @@
 
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/tensor/init.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/ref_ops.h"
@@ -122,6 +124,12 @@ ConvGeometry MakeGeometry(int64_t batch, int64_t ic, int64_t oc, int64_t h, int6
   return g;
 }
 
+void ExpectBitwiseEqual(const Tensor& a, const Tensor& b, const std::string& what) {
+  ASSERT_TRUE(a.SameShape(b)) << what << ": shape mismatch";
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), static_cast<size_t>(a.numel()) * sizeof(float)), 0)
+      << what;
+}
+
 void RunConvCase(const ConvGeometry& g, uint64_t seed) {
   Rng rng(seed);
   const Tensor input = RandomTensor({g.batch, g.in_channels, g.in_h, g.in_w}, &rng);
@@ -154,6 +162,23 @@ void RunConvCase(const ConvGeometry& g, uint64_t seed) {
   ExpectClose(gw_blocked, gw_ref, g.batch * g.out_h() * g.out_w(), what + " grad_weight");
   ExpectClose(gb_blocked, gb_ref, g.batch * g.out_h() * g.out_w(), what + " grad_bias");
   ExpectClose(gi_blocked, gi_ref, g.out_channels * g.kernel * g.kernel, what + " grad_input");
+
+  // Both lowerings split work only over disjoint outputs, so the kernel budget must not
+  // move a single bit.
+  for (const int budget : {1, 4}) {
+    ScopedKernelBudget scoped(budget);
+    const std::string at = what + " at budget " + std::to_string(budget);
+    Tensor out;
+    Conv2dForward(input, weight, bias, g, &out);
+    ExpectBitwiseEqual(out, out_blocked, at + " forward");
+    Tensor gw(weight.shape());
+    Tensor gb({g.out_channels});
+    Tensor gi;
+    Conv2dBackward(input, weight, grad_out, g, &gw, &gb, &gi);
+    ExpectBitwiseEqual(gw, gw_blocked, at + " grad_weight");
+    ExpectBitwiseEqual(gb, gb_blocked, at + " grad_bias");
+    ExpectBitwiseEqual(gi, gi_blocked, at + " grad_input");
+  }
 }
 
 TEST(KernelDiffTest, ConvConfigurations) {
@@ -168,6 +193,29 @@ TEST(KernelDiffTest, ConvConfigurations) {
   RunConvCase(MakeGeometry(1, 4, 6, 11, 5, 3, 2, 0), seed++);
   RunConvCase(MakeGeometry(4, 8, 16, 16, 16, 3, 1, 1), seed++);
   RunConvCase(MakeGeometry(2, 16, 32, 12, 12, 3, 2, 1), seed++);
+}
+
+TEST(KernelDiffTest, ConvDirectPathEdges) {
+  uint64_t seed = 3000;
+  // Output widths around the 8-float vector and the 2-vector tile (k 3, padding 1 keeps
+  // out_w == in_w).
+  for (const int64_t w : {1, 7, 15, 16, 17, 31, 33}) {
+    RunConvCase(MakeGeometry(2, 3, 5, 4, w, 3, 1, 1), seed++);
+  }
+  // Output channels around the 8-channel register block and the 4-channel last block; the
+  // input channels are the data gradient's output channels, so they sweep it too.
+  for (const int64_t c : {1, 2, 3, 4, 5, 6, 7, 8, 9, 17}) {
+    RunConvCase(MakeGeometry(2, 4, c, 6, 9, 3, 1, 1), seed++);
+    RunConvCase(MakeGeometry(2, c, 4, 6, 9, 3, 1, 1), seed++);
+  }
+  // Kernels 1, 3 and 5: padding 0 .. k-1 takes the direct path; padding k and stride 2
+  // take im2col.
+  for (const int64_t k : {1, 3, 5}) {
+    for (int64_t pad = 0; pad <= k; ++pad) {
+      RunConvCase(MakeGeometry(2, 3, 6, 7, 10, k, 1, pad), seed++);
+    }
+    RunConvCase(MakeGeometry(2, 3, 6, 7, 10, k, 2, k / 2), seed++);
+  }
 }
 
 TEST(KernelDiffTest, ConvFuzzedGeometries) {
