@@ -25,7 +25,7 @@
 //   measured   per-physical-worker bytes assembled from the runtime's own peaks
 //              (2 |w| live+grad copies + logical weight-stash peak + activation peak)
 //   sim        the event simulator's worker_peak_memory under identical options
-//   predicted  PredictPlanScheduled's max_worker_memory_bytes (memory_model.h)
+//   predicted  PredictPlan's max_worker_memory_bytes (memory_model.h)
 // plus a budget demo: the largest device budget that flush/recompute fit and plain
 // stashing/2BW bust, proving the planner's new schedule dimension buys real (depth, memory)
 // points. EXPERIMENTS.md's frontier section reads the "schedule_frontier" JSON emitted here.
@@ -133,7 +133,7 @@ struct FrontierCell {
   double minibatches_per_s = 0.0;
   int64_t measured_peak_bytes = 0;   // max per-physical-worker, runtime-measured
   int64_t sim_peak_bytes = 0;        // max worker_peak_memory from the event simulator
-  int64_t predicted_peak_bytes = 0;  // PredictPlanScheduled max_worker_memory_bytes
+  int64_t predicted_peak_bytes = 0;  // PredictPlan max_worker_memory_bytes
 };
 
 PipelinePlan WithModes(const PipelinePlan& plan, WeightMode mode, bool recompute) {
@@ -229,8 +229,7 @@ FrontierCell RunFrontierCell(const Dataset& data, const ModelProfile& profile,
   spec.flush_microbatches = 4;
   spec.interleave_chunks = chunks;
   spec.recompute = recompute;
-  cell.predicted_peak_bytes =
-      PredictPlanScheduled(profile, plan, topo, spec).max_worker_memory_bytes;
+  cell.predicted_peak_bytes = PredictPlan(profile, plan, topo, spec).max_worker_memory_bytes;
   return cell;
 }
 

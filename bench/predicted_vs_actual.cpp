@@ -253,7 +253,7 @@ int Main(int argc, char** argv) {
 
   // --- planner feedback: the analytic predictor on measured worker speeds (the
   // obs -> profile -> planner path PartitionHeterogeneous consumes when re-planning).
-  const PlanPrediction measured_prediction = PredictPlan(profile, plan, topo, measured_specs);
+  const PlanPrediction measured_prediction = PredictPlan(profile, plan, topo, {}, measured_specs);
   const double predicted_mb_per_s =
       measured_prediction.throughput_samples_per_sec / static_cast<double>(batch);
 

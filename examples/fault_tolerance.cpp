@@ -13,8 +13,10 @@
 // Set PIPEDREAM_FAULT_PLAN (e.g. "kill:stage=1,mb=40") or PIPEDREAM_FAULT_SEED=<n> to
 // override Act 2's scripted failure with your own.
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 
+#include "src/common/check.h"
 #include "src/common/rng.h"
 #include "src/data/dataset.h"
 #include "src/graph/loss.h"
@@ -27,6 +29,24 @@
 using namespace pipedream;
 
 namespace {
+
+// Act 2's fault plan from the environment: PIPEDREAM_FAULT_PLAN takes precedence, else
+// PIPEDREAM_FAULT_SEED feeds FaultPlan::Random against `plan`. Empty when neither is set.
+FaultPlan FaultPlanFromEnv(const PipelinePlan& plan, int64_t num_minibatches) {
+  if (const char* spec = std::getenv("PIPEDREAM_FAULT_PLAN")) {
+    Result<FaultPlan> parsed = FaultPlan::Parse(spec);
+    PD_CHECK(parsed.ok()) << "PIPEDREAM_FAULT_PLAN: " << parsed.status().ToString();
+    return *parsed;
+  }
+  if (const char* seed_str = std::getenv("PIPEDREAM_FAULT_SEED")) {
+    char* end = nullptr;
+    const unsigned long long seed = std::strtoull(seed_str, &end, 10);
+    PD_CHECK(end != seed_str && *end == '\0')
+        << "PIPEDREAM_FAULT_SEED must be an integer, got '" << seed_str << "'";
+    return FaultPlan::Random(seed, plan, num_minibatches);
+  }
+  return FaultPlan();
+}
 
 std::unique_ptr<PipelineTrainer> MakeTrainer(const Dataset* train, const Loss* loss) {
   Rng rng(21);
@@ -107,7 +127,7 @@ int main() {
   // The environment (PIPEDREAM_FAULT_PLAN / PIPEDREAM_FAULT_SEED) wins; otherwise kill
   // stage 1 in the middle of epoch 1.
   const int64_t bpe = live->batches_per_epoch();
-  FaultPlan fault_plan = FaultPlan::FromEnv(live->plan(), 3 * bpe);
+  FaultPlan fault_plan = FaultPlanFromEnv(live->plan(), 3 * bpe);
   if (fault_plan.empty()) {
     fault_plan.events.push_back({FaultKind::kKillWorker, /*stage=*/1, /*replica=*/0,
                                  /*minibatch=*/bpe + bpe / 2, WorkType::kForward, 0.0});

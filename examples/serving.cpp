@@ -3,13 +3,12 @@
 //   1. Train an MLP classifier with the 1F1B pipeline trainer (weight stashing on).
 //   2. Stand the trained model up as a PipelineServer: one resident server thread per
 //      stage, connected by the pluggable transport (in-proc here; set
-//      PIPEDREAM_TRANSPORT=socket to push every activation through the CRC-framed
-//      byte-stream transport instead — same code, same results).
+//      ServingOptions::transport to TransportKind::kUnixSocket to push every activation
+//      through the CRC-framed byte-stream transport instead — same code, same results).
 //   3. Stream requests through the pipeline concurrently and read the tail-latency
 //      quantiles off the serving histogram.
 //
-// Run: ./serving            (in-proc transport)
-//      PIPEDREAM_TRANSPORT=socket ./serving
+// Run: ./serving
 #include <cstdio>
 #include <vector>
 

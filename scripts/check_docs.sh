@@ -13,7 +13,7 @@ dir="${1:-build-docs}"
 
 echo "== configure $dir"
 cmake -B "$dir" -S . > /dev/null
-cmake --build "$dir" -j > /dev/null
+cmake --build "$dir" -j "$(nproc)" > /dev/null
 echo "== ctest -L docs in $dir"
 (cd "$dir" && ctest -L docs --output-on-failure)
 

@@ -25,7 +25,7 @@ run_one() {
   shift 2
   echo "== configure $dir ($*)"
   cmake -B "$dir" -S . "$@" > /dev/null
-  cmake --build "$dir" -j > /dev/null
+  cmake --build "$dir" -j "$(nproc)" > /dev/null
   echo "== ${env_vars:+$env_vars }ctest -L kernels in $dir"
   (cd "$dir" && env $env_vars ctest -L kernels --output-on-failure)
 }

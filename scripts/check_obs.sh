@@ -16,7 +16,7 @@ dir="${1:-build-obscheck}"
 
 echo "== configure $dir (-DPIPEDREAM_SANITIZE=thread)"
 cmake -B "$dir" -S . -DPIPEDREAM_SANITIZE=thread > /dev/null
-cmake --build "$dir" -j > /dev/null
+cmake --build "$dir" -j "$(nproc)" > /dev/null
 
 echo "== ctest -L 'obs|serve' in $dir (TSan)"
 (cd "$dir" && ctest -L 'obs|serve' --output-on-failure)

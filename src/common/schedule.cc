@@ -1,9 +1,5 @@
 #include "src/common/schedule.h"
 
-#include <cstdlib>
-
-#include "src/common/check.h"
-
 namespace pipedream {
 
 bool IsFlushFamily(ScheduleKind kind) {
@@ -25,45 +21,6 @@ const char* ScheduleKindName(ScheduleKind kind) {
       return "interleaved";
   }
   return "unknown";
-}
-
-std::optional<ScheduleKind> ScheduleKindFromName(const std::string& name) {
-  if (name == "1f1b") return ScheduleKind::kOneFOneB;
-  if (name == "gpipe") return ScheduleKind::kGPipe;
-  if (name == "model_parallel") return ScheduleKind::kModelParallel;
-  if (name == "flush" || name == "pipedream_flush") return ScheduleKind::kPipeDreamFlush;
-  if (name == "interleaved") return ScheduleKind::kInterleaved;
-  return std::nullopt;
-}
-
-std::optional<ScheduleKind> ScheduleKindFromEnv() {
-  const char* env = std::getenv("PIPEDREAM_SCHEDULE");
-  if (env == nullptr || env[0] == '\0') return std::nullopt;
-  std::optional<ScheduleKind> kind = ScheduleKindFromName(env);
-  PD_CHECK(kind.has_value()) << "PIPEDREAM_SCHEDULE=" << env
-                             << " is not a schedule (want 1f1b, gpipe, model_parallel, "
-                                "flush, or interleaved)";
-  return kind;
-}
-
-std::optional<int> InterleaveChunksFromEnv() {
-  const char* env = std::getenv("PIPEDREAM_CHUNKS");
-  if (env == nullptr || env[0] == '\0') return std::nullopt;
-  char* end = nullptr;
-  long value = std::strtol(env, &end, 10);
-  PD_CHECK(end != env && *end == '\0' && value >= 1)
-      << "PIPEDREAM_CHUNKS=" << env << " is not a positive integer";
-  return static_cast<int>(value);
-}
-
-std::optional<bool> RecomputeFromEnv() {
-  const char* env = std::getenv("PIPEDREAM_RECOMPUTE");
-  if (env == nullptr || env[0] == '\0') return std::nullopt;
-  const std::string value(env);
-  if (value == "1" || value == "on" || value == "true") return true;
-  if (value == "0" || value == "off" || value == "false") return false;
-  PD_CHECK(false) << "PIPEDREAM_RECOMPUTE=" << env << " is not a boolean (want 0/1/on/off)";
-  return std::nullopt;
 }
 
 }  // namespace pipedream

@@ -3,7 +3,7 @@
 // Like WeightMode, the enum lives in common/ because every layer of the stack keys off it:
 // CompileSchedule (src/schedule/program.h) turns a kind into per-worker programs that the
 // runtime and the simulator both execute, and the planner treats it as a first-class
-// dimension alongside the partition and the per-stage weight mode (PredictPlanScheduled /
+// dimension alongside the partition and the per-stage weight mode (PredictPlan /
 // EnumerateScheduleFrontier). Memory formulas per kind are documented in
 // docs/SCHEDULES.md and implemented once in src/planner/memory_model.h.
 //
@@ -28,9 +28,6 @@
 #ifndef SRC_COMMON_SCHEDULE_H_
 #define SRC_COMMON_SCHEDULE_H_
 
-#include <optional>
-#include <string>
-
 namespace pipedream {
 
 enum class ScheduleKind {
@@ -48,23 +45,6 @@ enum class ScheduleKind {
 bool IsFlushFamily(ScheduleKind kind);
 
 const char* ScheduleKindName(ScheduleKind kind);
-
-// Inverse of ScheduleKindName, accepting "1f1b", "gpipe", "model_parallel", "flush"
-// (alias "pipedream_flush"), and "interleaved". Returns nullopt for unrecognized names.
-std::optional<ScheduleKind> ScheduleKindFromName(const std::string& name);
-
-// The schedule named by PIPEDREAM_SCHEDULE, if set. Aborts on an unrecognized value (a
-// typo silently training under the wrong schedule would invalidate an experiment).
-std::optional<ScheduleKind> ScheduleKindFromEnv();
-
-// Virtual chunks per worker named by PIPEDREAM_CHUNKS (kInterleaved only; >= 1), if set.
-// Aborts on a non-positive or non-numeric value.
-std::optional<int> InterleaveChunksFromEnv();
-
-// The global recomputation override named by PIPEDREAM_RECOMPUTE, if set: "1"/"on"/"true"
-// forces activation recomputation for every stage, "0"/"off"/"false" disables it
-// everywhere including plan-assigned per-stage flags. Aborts on other values.
-std::optional<bool> RecomputeFromEnv();
 
 }  // namespace pipedream
 

@@ -1,9 +1,5 @@
 #include "src/common/weight_mode.h"
 
-#include <cstdlib>
-
-#include "src/common/check.h"
-
 namespace pipedream {
 
 const char* WeightModeName(WeightMode mode) {
@@ -18,34 +14,6 @@ const char* WeightModeName(WeightMode mode) {
       return "double_buffered";
   }
   return "?";
-}
-
-std::optional<WeightMode> WeightModeFromName(const std::string& name) {
-  if (name == "naive") {
-    return WeightMode::kNaive;
-  }
-  if (name == "stashing") {
-    return WeightMode::kStashing;
-  }
-  if (name == "vertical_sync") {
-    return WeightMode::kVerticalSync;
-  }
-  if (name == "double_buffered" || name == "2bw") {
-    return WeightMode::kDoubleBuffered;
-  }
-  return std::nullopt;
-}
-
-std::optional<WeightMode> WeightModeFromEnv() {
-  const char* env = std::getenv("PIPEDREAM_WEIGHT_MODE");
-  if (env == nullptr || env[0] == '\0') {
-    return std::nullopt;
-  }
-  const std::optional<WeightMode> mode = WeightModeFromName(env);
-  PD_CHECK(mode.has_value()) << "PIPEDREAM_WEIGHT_MODE=" << env
-                             << " is not one of naive|stashing|vertical_sync|"
-                                "double_buffered|2bw";
-  return mode;
 }
 
 }  // namespace pipedream

@@ -21,9 +21,6 @@
 #ifndef SRC_COMMON_WEIGHT_MODE_H_
 #define SRC_COMMON_WEIGHT_MODE_H_
 
-#include <optional>
-#include <string>
-
 namespace pipedream {
 
 enum class WeightMode {
@@ -34,14 +31,6 @@ enum class WeightMode {
 };
 
 const char* WeightModeName(WeightMode mode);
-
-// Inverse of WeightModeName, plus the "2bw" alias for kDoubleBuffered. Returns nullopt for
-// unrecognized names.
-std::optional<WeightMode> WeightModeFromName(const std::string& name);
-
-// The mode named by PIPEDREAM_WEIGHT_MODE, if set. Aborts on an unrecognized value (a typo
-// silently falling back to stashing would invalidate a memory experiment).
-std::optional<WeightMode> WeightModeFromEnv();
 
 }  // namespace pipedream
 

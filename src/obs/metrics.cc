@@ -10,6 +10,7 @@
 #include <variant>
 
 #include "src/common/check.h"
+#include "src/common/env.h"
 #include "src/common/logging.h"
 #include "src/common/strings.h"
 
@@ -306,8 +307,7 @@ void DumpMetricsAtExit() {
       MetricsRegistry::Get().WriteJson(path);
     }
   }
-  const char* table = std::getenv("PIPEDREAM_METRICS_TABLE");
-  if (table != nullptr && table[0] == '1') {
+  if (ParseEnvSwitch("PIPEDREAM_METRICS_TABLE", std::getenv("PIPEDREAM_METRICS_TABLE"))) {
     MetricsRegistry::Get().PrintTable();
   }
 }
@@ -320,9 +320,10 @@ void DumpMetricsAtExit() {
 struct MetricsEnvInit {
   MetricsEnvInit() {
     const char* path = std::getenv("PIPEDREAM_METRICS");
-    const char* table = std::getenv("PIPEDREAM_METRICS_TABLE");
+    const bool table =
+        ParseEnvSwitch("PIPEDREAM_METRICS_TABLE", std::getenv("PIPEDREAM_METRICS_TABLE"));
     const bool have_path = path != nullptr && path[0] != '\0' && std::string(path) != "-";
-    if ((path != nullptr && path[0] != '\0') || (table != nullptr && table[0] == '1')) {
+    if ((path != nullptr && path[0] != '\0') || table) {
       MetricsRegistry::Get();  // construct before atexit so destruction never races the dump
       std::atexit(DumpMetricsAtExit);
     }

@@ -10,8 +10,8 @@
 //   score  = ewma over max(z, 0)                     (only *slow* drift is a straggler)
 //
 // Scores are published as obs/straggler_score/stage<N> callback gauges, and
-// ElasticTrainer polls WorstStage() when PIPEDREAM_STRAGGLER_REPLAN=<threshold> is set —
-// a stage whose smoothed score crosses the threshold triggers a re-plan exactly like a
+// ElasticTrainer polls WorstStage() when ElasticOptions::straggler_replan_threshold is
+// positive — a stage whose smoothed score crosses it triggers a re-plan exactly like a
 // detected failure would, but proactively. A re-plan rebuilds the trainer, which resets
 // the detector: the new plan starts with fresh statistics instead of the old plan's
 // baseline.

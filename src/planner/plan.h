@@ -24,14 +24,14 @@ struct StageAssignment {
   std::vector<int> workers;  // global worker ids; size() == replicas
   // Weight-update discipline for this stage (§3.3; 2BW from the follow-up paper). The
   // partitioner flips memory-squeezed stages to kDoubleBuffered when given a device budget;
-  // runtime options or PIPEDREAM_WEIGHT_MODE override it globally.
+  // PipelineTrainerOptions::weight_mode overrides it globally.
   WeightMode weight_mode = WeightMode::kStashing;
   // Activation recomputation for this stage: stash only the inbound boundary activation and
   // re-run the forward (under the minibatch's stashed weights) just before the backward,
   // trading ~1 extra stage-forward for dropping the act * (in_flight - 1) stash overhang
   // (docs/SCHEDULES.md). Set by the partitioner's ChooseRecompute post-pass when a stage
-  // still busts device_memory_bytes after weight-mode selection; PIPEDREAM_RECOMPUTE
-  // overrides it globally.
+  // still busts device_memory_bytes after weight-mode selection;
+  // PipelineTrainerOptions::recompute_activations turns it on for every stage.
   bool recompute = false;
 
   int num_layers() const { return end_layer - begin_layer; }

@@ -47,22 +47,8 @@ double MinCrossP2pBandwidth(const HardwareTopology& topology, const std::vector<
 }  // namespace
 
 PlanPrediction PredictPlan(const ModelProfile& profile, const PipelinePlan& plan,
-                           const HardwareTopology& topology, int pipeline_depth) {
-  return PredictPlan(profile, plan, topology, std::vector<WorkerSpec>(), pipeline_depth);
-}
-
-PlanPrediction PredictPlan(const ModelProfile& profile, const PipelinePlan& plan,
-                           const HardwareTopology& topology,
-                           const std::vector<WorkerSpec>& workers, int pipeline_depth) {
-  return PredictPlanScheduled(profile, plan, topology, ScheduleSpec(), workers,
-                              pipeline_depth);
-}
-
-PlanPrediction PredictPlanScheduled(const ModelProfile& profile, const PipelinePlan& plan,
-                                    const HardwareTopology& topology,
-                                    const ScheduleSpec& schedule,
-                                    const std::vector<WorkerSpec>& workers,
-                                    int pipeline_depth) {
+                           const HardwareTopology& topology, const ScheduleSpec& schedule,
+                           const std::vector<WorkerSpec>& workers) {
   plan.Validate(profile.num_layers());
   // Compute on a replicated stage proceeds at the pace of its slowest member: round-robin
   // hands every replica an equal share, so the round closes when the slowest finishes.
@@ -80,7 +66,7 @@ PlanPrediction PredictPlanScheduled(const ModelProfile& profile, const PipelineP
     return speed;
   };
   const int num_stages = plan.num_stages();
-  const int noam = pipeline_depth > 0 ? pipeline_depth : plan.Noam();
+  const int noam = plan.Noam();
   const int64_t batch = profile.minibatch_size;
   const bool flush_family = IsFlushFamily(schedule.kind);
   const bool interleaved = schedule.kind == ScheduleKind::kInterleaved;

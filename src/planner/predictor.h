@@ -16,8 +16,8 @@ namespace pipedream {
 
 // The schedule dimension of a prediction — which member of the zoo (docs/SCHEDULES.md) the
 // plan will run under, plus its shape parameters. The planner prices every (schedule,
-// weight-mode, recompute) cell through PredictPlanScheduled before the runtime commits to
-// one (EnumerateScheduleFrontier in schedule_frontier.h).
+// weight-mode, recompute) cell through PredictPlan before the runtime commits to one
+// (EnumerateScheduleFrontier in schedule_frontier.h).
 struct ScheduleSpec {
   ScheduleKind kind = ScheduleKind::kOneFOneB;
   // Round size m for the flush family (kGPipe / kPipeDreamFlush); kModelParallel is m = 1.
@@ -62,33 +62,22 @@ struct PlanPrediction {
   }
 };
 
-// `pipeline_depth` overrides the in-flight minibatch count (0 = the plan's NOAM). Used by
-// the Figure 18 sweep; everything else derives from the paper's formulas.
+// Prices `plan` under any member of the schedule zoo (default: plain 1F1B). Stash depths
+// follow the plan's NOAM through the shared memory model (src/planner/memory_model.h),
+// which also folds recompute-vs-stash into the memory objective; the extra recompute
+// forward lands in compute. Flush-family schedules are priced with kNaive weights (what
+// the runtime enforces — no update commits inside a round) and their throughput carries
+// the (m + S - 1) / m drain bubble; interleaved plans must be straight with num_stages
+// divisible by interleave_chunks, and memory/occupancy aggregate over the k chunk-stages
+// each physical worker (stage mod num_workers) hosts.
+//
+// `workers` makes the prediction heterogeneity-aware: `workers[w].speed` stretches compute
+// hosted on worker w by 1/speed, and a replicated stage's round-robin round is gated by
+// its slowest replica, so stage compute is scaled by 1 / min(speed over the stage's
+// workers). Empty means uniform unit speed; otherwise plan worker ids must index into it.
 PlanPrediction PredictPlan(const ModelProfile& profile, const PipelinePlan& plan,
-                           const HardwareTopology& topology, int pipeline_depth = 0);
-
-// Heterogeneity-aware variant: `workers[w].speed` stretches compute hosted on worker w by
-// 1/speed, and a replicated stage's round-robin round is gated by its slowest replica, so
-// stage compute is scaled by 1 / min(speed over the stage's workers). An empty vector means
-// uniform unit speed (the overload above delegates here). Plan worker ids must index into
-// `workers` when it is non-empty.
-PlanPrediction PredictPlan(const ModelProfile& profile, const PipelinePlan& plan,
-                           const HardwareTopology& topology,
-                           const std::vector<WorkerSpec>& workers, int pipeline_depth = 0);
-
-// Schedule-aware prediction: prices the plan under any member of the schedule zoo, folding
-// recompute-vs-stash into the memory objective (src/planner/memory_model.h) and the extra
-// recompute forward into compute. Flush-family schedules are priced with kNaive weights
-// (what the runtime enforces — no update commits inside a round) and their throughput
-// carries the (m + S - 1) / m drain bubble; interleaved plans must be straight with
-// num_stages divisible by interleave_chunks, and memory/occupancy aggregate over the k
-// chunk-stages each physical worker (stage mod num_workers) hosts. The two PredictPlan
-// overloads above are this with a default-constructed ScheduleSpec (plain 1F1B).
-PlanPrediction PredictPlanScheduled(const ModelProfile& profile, const PipelinePlan& plan,
-                                    const HardwareTopology& topology,
-                                    const ScheduleSpec& schedule,
-                                    const std::vector<WorkerSpec>& workers = {},
-                                    int pipeline_depth = 0);
+                           const HardwareTopology& topology, const ScheduleSpec& schedule = {},
+                           const std::vector<WorkerSpec>& workers = {});
 
 }  // namespace pipedream
 

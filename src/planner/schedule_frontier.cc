@@ -38,8 +38,7 @@ std::vector<ScheduleCandidate> EnumerateScheduleFrontier(const ModelProfile& pro
     candidate.weight_mode = mode;
     candidate.recompute = recompute;
     candidate.plan = WithWeightMode(cell_plan, mode);
-    candidate.prediction =
-        PredictPlanScheduled(profile, candidate.plan, topology, candidate.schedule);
+    candidate.prediction = PredictPlan(profile, candidate.plan, topology, candidate.schedule);
     candidate.fits = device_memory_bytes <= 0 ||
                      candidate.prediction.max_worker_memory_bytes <= device_memory_bytes;
     frontier.push_back(std::move(candidate));
@@ -54,8 +53,8 @@ std::vector<ScheduleCandidate> EnumerateScheduleFrontier(const ModelProfile& pro
   }
   if (workers >= 1 && profile.num_layers() >= 2 * workers) {
     // Interleaved cells re-split the model into 2 chunk-stages per worker. The chunk plan
-    // has 2 * workers stage ids; PredictPlanScheduled folds them back onto the physical
-    // workers (stage mod workers) for memory and occupancy.
+    // has 2 * workers stage ids; PredictPlan folds them back onto the physical workers
+    // (stage mod workers) for memory and occupancy.
     const PipelinePlan chunk_plan = MakeBalancedStraightPlan(profile, 2 * workers);
     price(ScheduleKind::kInterleaved, WeightMode::kStashing, false, chunk_plan, 2);
     price(ScheduleKind::kInterleaved, WeightMode::kDoubleBuffered, false, chunk_plan, 2);

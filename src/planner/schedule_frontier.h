@@ -1,7 +1,7 @@
 // The schedule zoo as a priced frontier: every (schedule, weight-mode, recompute) cell the
 // runtime can execute, predicted under one memory/throughput model (memory_model.h via
-// PredictPlanScheduled) so the planner can pick the best schedule that fits a device budget
-// before the runtime commits to one. BENCH_2bw.json's schedule_frontier section and the
+// PredictPlan) so the planner can pick the best schedule that fits a device budget before
+// the runtime commits to one. BENCH_2bw.json's schedule_frontier section and the
 // docs/SCHEDULES.md tables are generated from exactly these cells.
 #ifndef SRC_PLANNER_SCHEDULE_FRONTIER_H_
 #define SRC_PLANNER_SCHEDULE_FRONTIER_H_

@@ -45,8 +45,7 @@ AspTrainer::AspTrainer(const Sequential& model, int workers, const Loss* loss,
   optimizer_ = optimizer_prototype.CloneFresh();
   acked_.assign(static_cast<size_t>(workers_), 0);
   // The parameter server is endpoint (0, 0) of the shared transport abstraction — the same
-  // seam the pipeline runtime sends activations through (PIPEDREAM_TRANSPORT applies here
-  // too, so the ASP baseline can run its gradient traffic over a real byte stream).
+  // seam the pipeline runtime sends activations through.
   transport_ = MakeTransport();
   server_inbox_ = transport_->AddEndpoint(0, 0);
   const Status started = transport_->Start();

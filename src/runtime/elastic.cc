@@ -1,7 +1,6 @@
 #include "src/runtime/elastic.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -32,24 +31,6 @@ int64_t UniversalRound(int max_workers) {
 
 }  // namespace
 
-std::vector<WorkerSpec> WorkerSpecsFromEnv() {
-  std::vector<WorkerSpec> specs;
-  const char* env = std::getenv("PIPEDREAM_WORKER_SPEEDS");
-  if (env == nullptr || *env == 0) {
-    return specs;
-  }
-  for (const std::string& part : StrSplit(env, ',')) {
-    char* end = nullptr;
-    const double speed = std::strtod(part.c_str(), &end);
-    PD_CHECK(end != part.c_str() && *end == 0 && speed > 0.0)
-        << "bad PIPEDREAM_WORKER_SPEEDS component '" << part << "'";
-    WorkerSpec spec;
-    spec.speed = speed;
-    specs.push_back(spec);
-  }
-  return specs;
-}
-
 ElasticTrainer::ElasticTrainer(const Sequential& model, const ModelProfile& profile,
                                const Loss* loss, const Optimizer& optimizer_prototype,
                                const Dataset* dataset, int64_t batch_size, uint64_t seed,
@@ -71,26 +52,12 @@ ElasticTrainer::ElasticTrainer(const Sequential& model, const ModelProfile& prof
   PD_CHECK_EQ(options_.trainer.epoch_length, 0) << "epoch_length is managed by ElasticTrainer";
   PD_CHECK_EQ(options_.trainer.plan_generation, 0)
       << "plan_generation is managed by ElasticTrainer";
-  if (cluster_.empty()) {
-    cluster_ = WorkerSpecsFromEnv();
-  }
-  PD_CHECK(!cluster_.empty())
-      << "no workers: pass a cluster or set PIPEDREAM_WORKER_SPEEDS";
+  PD_CHECK(!cluster_.empty()) << "no workers: pass a non-empty cluster";
   // Re-planning resumes a new plan on the epoch grid with per-minibatch 1F1B semantics;
   // flush rounds and interleaved chunk layouts do not survive a re-partition.
-  const ScheduleKind schedule = ScheduleKindFromEnv().value_or(options_.trainer.schedule);
-  PD_CHECK(schedule == ScheduleKind::kOneFOneB)
-      << "elastic re-planning requires a 1F1B schedule, not " << ScheduleKindName(schedule);
-  if (const char* env = std::getenv("PIPEDREAM_ELASTIC_REPLAN")) {
-    options_.replan_on_failure = std::atoi(env) != 0;
-  }
-  if (const char* env = std::getenv("PIPEDREAM_STRAGGLER_REPLAN")) {
-    char* end = nullptr;
-    const double threshold = std::strtod(env, &end);
-    PD_CHECK(end != env && *end == 0 && threshold >= 0.0)
-        << "PIPEDREAM_STRAGGLER_REPLAN must be a non-negative number, got '" << env << "'";
-    options_.straggler_replan_threshold = threshold;
-  }
+  PD_CHECK(options_.trainer.schedule == ScheduleKind::kOneFOneB)
+      << "elastic re-planning requires a 1F1B schedule, not "
+      << ScheduleKindName(options_.trainer.schedule);
   alive_.assign(cluster_.size(), true);
 
   // Pin the global epoch grid: one epoch length every plan generation can live on.

@@ -50,26 +50,20 @@ struct ElasticOptions {
   // accumulation_steps, which divides every plan's synchronization round for any live set.
   int64_t epoch_length = 0;
   // Re-plan when a worker is lost (vs staying degraded forever, the pre-elastic behavior).
-  // The PIPEDREAM_ELASTIC_REPLAN env variable (0|1) overrides.
   bool replan_on_failure = true;
   // Proactive straggler-triggered re-planning: when > 0, a stage whose smoothed straggler
   // score (obs/straggler.h) reaches this threshold at an epoch boundary schedules a
   // re-plan, first scaling the straggling workers' speed factors down by the observed
-  // drift so the re-partition actually moves layers off them. The
-  // PIPEDREAM_STRAGGLER_REPLAN env variable (a non-negative double) overrides; 0 disables.
+  // drift so the re-partition actually moves layers off them. 0 disables.
   double straggler_replan_threshold = 0.0;
 };
 
-// Parses PIPEDREAM_WORKER_SPEEDS ("1,1,0.5" = three workers, the third at half speed) into
-// WorkerSpecs. Empty when the variable is unset or empty.
-std::vector<WorkerSpec> WorkerSpecsFromEnv();
-
 class ElasticTrainer {
  public:
-  // `cluster` describes every worker that may ever participate; ids are indices into it.
-  // Empty = read PIPEDREAM_WORKER_SPEEDS (which must then be set). The initial plan is the
-  // heterogeneous partition over the full cluster. `manager` stores the plan-tagged
-  // checkpoints migration depends on and must be non-null and outlive the trainer.
+  // `cluster` describes every worker that may ever participate (non-empty); ids are
+  // indices into it. The initial plan is the heterogeneous partition over the full
+  // cluster. `manager` stores the plan-tagged checkpoints migration depends on and must be
+  // non-null and outlive the trainer.
   ElasticTrainer(const Sequential& model, const ModelProfile& profile, const Loss* loss,
                  const Optimizer& optimizer_prototype, const Dataset* dataset,
                  int64_t batch_size, uint64_t seed, std::vector<WorkerSpec> cluster,

@@ -135,22 +135,6 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& spec) {
   return out;
 }
 
-FaultPlan FaultPlan::FromEnv(const PipelinePlan& plan, int64_t num_minibatches) {
-  if (const char* spec = std::getenv("PIPEDREAM_FAULT_PLAN")) {
-    Result<FaultPlan> parsed = Parse(spec);
-    PD_CHECK(parsed.ok()) << "PIPEDREAM_FAULT_PLAN: " << parsed.status().ToString();
-    return *parsed;
-  }
-  if (const char* seed_str = std::getenv("PIPEDREAM_FAULT_SEED")) {
-    char* end = nullptr;
-    const unsigned long long seed = std::strtoull(seed_str, &end, 10);
-    PD_CHECK(end != seed_str && *end == '\0')
-        << "PIPEDREAM_FAULT_SEED must be an integer, got '" << seed_str << "'";
-    return Random(seed, plan, num_minibatches);
-  }
-  return FaultPlan();
-}
-
 FaultInjector::WorkerAction FaultInjector::OnWorkStart(int stage, int replica,
                                                        int64_t minibatch, WorkType work) {
   std::lock_guard<std::mutex> lock(mutex_);

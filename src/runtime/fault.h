@@ -8,9 +8,8 @@
 // (stage, replica, minibatch, direction) rather than wall time, a scenario replayed with the
 // same seed is bitwise identical.
 //
-// Plans come from three places: explicit construction (tests), FaultPlan::Random (fuzzing),
-// or the environment — PIPEDREAM_FAULT_SEED=<n> generates a random plan and
-// PIPEDREAM_FAULT_PLAN=<spec> parses an explicit one (see Parse for the grammar).
+// Plans come from explicit construction (tests), FaultPlan::Random (fuzzing), or a spec
+// string (FaultPlan::Parse; examples/fault_tolerance reads one from the environment).
 #ifndef SRC_RUNTIME_FAULT_H_
 #define SRC_RUNTIME_FAULT_H_
 
@@ -65,10 +64,6 @@ struct FaultPlan {
   // kill, stall, delay, drop, corrupt. Example:
   //   "kill:stage=1,mb=12;stall:stage=0,mb=30,ms=250"
   static Result<FaultPlan> Parse(const std::string& spec);
-
-  // Builds a plan from the environment: PIPEDREAM_FAULT_PLAN takes precedence, else
-  // PIPEDREAM_FAULT_SEED feeds Random against `plan`. Empty plan when neither is set.
-  static FaultPlan FromEnv(const PipelinePlan& plan, int64_t num_minibatches);
 };
 
 class FaultInjector {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <numeric>
 #include <thread>
 
@@ -163,30 +162,6 @@ PipelineTrainer::PipelineTrainer(const Sequential& model, const PipelinePlan& pl
   plan_.Validate(num_model_layers_);
   PD_CHECK(loss != nullptr);
   PD_CHECK(dataset != nullptr);
-  // Schedule-zoo env overrides first: the weight-mode retrofit below and every validation
-  // check must see the schedule that will actually run.
-  if (const std::optional<ScheduleKind> env_schedule = ScheduleKindFromEnv()) {
-    options_.schedule = *env_schedule;
-  }
-  if (const std::optional<int> env_chunks = InterleaveChunksFromEnv()) {
-    options_.interleave_chunks = *env_chunks;
-  }
-  recompute_override_ = RecomputeFromEnv();
-  if (const std::optional<WeightMode> env_mode = WeightModeFromEnv()) {
-    options_.weight_mode = env_mode;
-    if (*env_mode == WeightMode::kDoubleBuffered &&
-        (options_.schedule == ScheduleKind::kOneFOneB ||
-         options_.schedule == ScheduleKind::kInterleaved)) {
-      // The env override retrofits 2BW onto programs that never chose an accumulation
-      // boundary; raise it to the deepest stage's admission depth (the 2BW m >= d
-      // requirement) rather than aborting in the validation below. Programmatic callers
-      // still get the strict check.
-      for (int s = 0; s < plan_.num_stages(); ++s) {
-        options_.accumulation_steps =
-            std::max(options_.accumulation_steps, StartupDepth(plan_, s));
-      }
-    }
-  }
   if (IsFlushFamily(options_.schedule)) {
     PD_CHECK_EQ(plan_.total_workers(), plan_.num_stages())
         << "the " << ScheduleKindName(options_.schedule)
@@ -235,14 +210,9 @@ PipelineTrainer::PipelineTrainer(const Sequential& model, const PipelinePlan& pl
   // checkpoint exists yet.
   template_model_ = model.Clone();
 
-  // Resolve the stage-to-stage transport: env override, then the programmatic choice, then
-  // in-proc mailboxes. Every worker inbox is an endpoint of this one transport, so no
-  // runtime component ever routes around it.
-  std::optional<TransportKind> transport_kind = TransportKindFromEnv();
-  if (!transport_kind.has_value()) {
-    transport_kind = options_.transport;
-  }
-  transport_ = MakeTransport(transport_kind.value_or(TransportKind::kInProc));
+  // Every worker inbox is an endpoint of this one transport, so no runtime component ever
+  // routes around it.
+  transport_ = MakeTransport(options_.transport);
 
   const int num_stages = plan_.num_stages();
   stage_reducers_.resize(static_cast<size_t>(num_stages));
@@ -309,16 +279,13 @@ PipelineTrainer::~PipelineTrainer() = default;
 
 WeightMode PipelineTrainer::StageWeightMode(int stage) const {
   PD_CHECK(stage >= 0 && stage < plan_.num_stages());
-  // The global override (set explicitly, by PIPEDREAM_WEIGHT_MODE, or by a flush-family
-  // schedule forcing kNaive) wins; otherwise each stage runs the mode the planner assigned.
+  // The global override (set explicitly, or by a flush-family schedule forcing kNaive)
+  // wins; otherwise each stage runs the mode the planner assigned.
   return options_.weight_mode ? *options_.weight_mode : plan_.stage(stage).weight_mode;
 }
 
 bool PipelineTrainer::StageRecompute(int stage) const {
   PD_CHECK(stage >= 0 && stage < plan_.num_stages());
-  if (recompute_override_.has_value()) {
-    return *recompute_override_;  // PIPEDREAM_RECOMPUTE: a global on/off, plan flags and all
-  }
   return options_.recompute_activations || plan_.stage(stage).recompute;
 }
 
@@ -328,9 +295,6 @@ void PipelineTrainer::EnableRecovery(CheckpointManager* manager, RecoveryOptions
   PD_CHECK_GE(options.worker_tick_ms, 1);
   PD_CHECK_GE(options.watchdog_poll_ms, 1);
   PD_CHECK_GE(options.max_recoveries, 1);
-  if (const char* env = std::getenv("PIPEDREAM_REJOIN_PROBATION")) {
-    options.rejoin_probation_epochs = std::atoi(env);
-  }
   PD_CHECK_GE(options.rejoin_probation_epochs, 0);
   manager_ = manager;
   recovery_ = options;

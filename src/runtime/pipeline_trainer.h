@@ -57,29 +57,25 @@ class HealthServer;
 }
 
 struct PipelineTrainerOptions {
-  // Which entry of the schedule zoo (docs/SCHEDULES.md) to execute. The PIPEDREAM_SCHEDULE
-  // env variable (1f1b|gpipe|model_parallel|flush|interleaved) takes precedence.
+  // Which entry of the schedule zoo (docs/SCHEDULES.md) to execute.
   ScheduleKind schedule = ScheduleKind::kOneFOneB;
   // Global weight-mode override. Unset (the default), every stage uses the mode recorded in
   // its PipelinePlan StageAssignment (kStashing unless the planner chose otherwise — the
   // per-stage knob that lets a memory-squeezed stage run 2BW while its neighbours stash).
-  // Set, it forces one mode everywhere, as does the PIPEDREAM_WEIGHT_MODE env variable
-  // (naive|stashing|vertical_sync|double_buffered|2bw), which takes precedence over both.
+  // Set, it forces one mode everywhere.
   std::optional<WeightMode> weight_mode;
   int gpipe_microbatches = 4;  // round size per flush (kGPipe / kPipeDreamFlush)
   // Virtual chunk-stages per physical worker for ScheduleKind::kInterleaved: the (straight)
   // plan's num_stages must be divisible by this, chunk-stage s runs on physical worker
   // s mod (num_stages / interleave_chunks), and each worker executes its chunks' ops in the
-  // compiled order (src/schedule/program.h). The PIPEDREAM_CHUNKS env variable takes
-  // precedence. Ignored by other schedules.
+  // compiled order (src/schedule/program.h). Ignored by other schedules.
   int interleave_chunks = 1;
   // Activation recomputation (§3.3 / Chen et al.): stash only each minibatch's stage *input*
   // and re-run the forward pass (under the stashed weights) just before the backward,
   // trading compute for activation memory. Identical gradients for deterministic layers;
   // incompatible with Dropout (whose mask would be redrawn). `true` forces recomputation on
   // every stage; `false` defers to the planner's per-stage StageAssignment::recompute flags
-  // (set by ChooseRecompute when a stage busts the device budget). The PIPEDREAM_RECOMPUTE
-  // env variable (0|1|on|off|true|false) overrides both, globally.
+  // (set by ChooseRecompute when a stage busts the device budget).
   bool recompute_activations = false;
   // Gradient accumulation (§3.3's "gradient aggregation"): apply the optimizer every
   // `accumulation_steps` minibatches with the summed gradients scaled by 1/steps, reducing
@@ -87,10 +83,8 @@ struct PipelineTrainerOptions {
   // kDoubleBuffered requires this to cover each 2BW stage's in-flight depth (checked at
   // construction) so two weight buffers always suffice.
   int accumulation_steps = 1;
-  // Stage-to-stage message transport. Unset = in-proc mailboxes; the PIPEDREAM_TRANSPORT
-  // env variable (inproc|socket) takes precedence over both, mirroring the weight-mode
-  // override discipline.
-  std::optional<TransportKind> transport;
+  // Stage-to-stage message transport.
+  TransportKind transport = TransportKind::kInProc;
   // --- elastic re-planning hooks (see src/runtime/elastic.h) ---
   // First epoch this trainer trains. A trainer rebuilt under a new plan after a re-plan
   // resumes at the epoch the old trainer stopped at, keeping the global epoch grid (and the
@@ -120,7 +114,7 @@ struct RecoveryOptions {
   // stage's rotation once this many consecutive epochs complete with no failure anywhere
   // (the epoch-grid analog of a heartbeat probation window — the respawned worker must sit
   // out N clean epochs before it is trusted with minibatches again). 0 disables rejoin
-  // (the pre-elastic behavior). The PIPEDREAM_REJOIN_PROBATION env variable overrides.
+  // (the pre-elastic behavior).
   int rejoin_probation_epochs = 0;
 };
 
@@ -215,13 +209,13 @@ class PipelineTrainer {
   // polls this as a proactive re-plan trigger. See obs/straggler.h.
   const obs::StragglerDetector& straggler() const { return *straggler_; }
 
-  // The weight mode `stage` actually runs: the PIPEDREAM_WEIGHT_MODE / options override
-  // when present, otherwise the plan's per-stage assignment (flush-family schedules force
-  // kNaive everywhere — flushes make versioning unnecessary).
+  // The weight mode `stage` actually runs: the options override when present, otherwise
+  // the plan's per-stage assignment (flush-family schedules force kNaive everywhere —
+  // flushes make versioning unnecessary).
   WeightMode StageWeightMode(int stage) const;
 
-  // Whether `stage` actually recomputes activations: the PIPEDREAM_RECOMPUTE override when
-  // present, otherwise options.recompute_activations OR'd with the plan's per-stage flag.
+  // Whether `stage` actually recomputes activations: options.recompute_activations OR'd
+  // with the plan's per-stage flag.
   bool StageRecompute(int stage) const;
 
   // Per-stage checkpointing (§4): each stage's replica-0 parameters are written for the
@@ -284,7 +278,6 @@ class PipelineTrainer {
   std::vector<std::vector<StageRuntime*>> active_by_stage_;       // shrinks on ejection
   std::vector<std::unique_ptr<GradientAllReducer>> stage_reducers_;
   std::unique_ptr<FlushBarrier> flush_barrier_;  // kFlush instructions; one per attempt
-  std::optional<bool> recompute_override_;  // PIPEDREAM_RECOMPUTE, when set
   int64_t epochs_completed_ = 0;
   int64_t next_global_minibatch_ = 0;
 

@@ -1,7 +1,6 @@
 #include "src/runtime/serving.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -21,20 +20,6 @@ int64_t NowNs() {
       .count();
 }
 
-// PIPEDREAM_SERVE_QUEUE_DEPTH override for the admission window. Aborts on garbage (a typo
-// silently keeping the default would invalidate a backpressure measurement).
-int AdmissionWindowFromEnvOr(int fallback) {
-  const char* raw = std::getenv("PIPEDREAM_SERVE_QUEUE_DEPTH");
-  if (raw == nullptr || raw[0] == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  const long value = std::strtol(raw, &end, 10);
-  PD_CHECK(end != raw && *end == '\0' && value >= 1)
-      << "PIPEDREAM_SERVE_QUEUE_DEPTH must be a positive integer, got '" << raw << "'";
-  return static_cast<int>(value);
-}
-
 }  // namespace
 
 PipelineServer::PipelineServer(const Sequential& model, const PipelinePlan& plan,
@@ -43,14 +28,8 @@ PipelineServer::PipelineServer(const Sequential& model, const PipelinePlan& plan
   plan_.Validate(static_cast<int>(model.size()));
   PD_CHECK(plan_.IsStraight())
       << "PipelineServer serves straight plans only (one replica per stage)";
-  max_inflight_ = AdmissionWindowFromEnvOr(options_.max_inflight);
-  PD_CHECK_GE(max_inflight_, 1);
-
-  std::optional<TransportKind> kind = TransportKindFromEnv();
-  if (!kind.has_value()) {
-    kind = options_.transport;
-  }
-  transport_ = MakeTransport(kind);
+  PD_CHECK_GE(options_.max_inflight, 1);
+  transport_ = MakeTransport(options_.transport);
 
   const int stages = plan_.num_stages();
   stage_models_.reserve(static_cast<size_t>(stages));
@@ -113,7 +92,7 @@ int64_t PipelineServer::Submit(Tensor input) {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     PD_CHECK(started_ && !stopped_) << "Submit outside the Start/Stop window";
-    window_cv_.wait(lock, [this] { return inflight_ < max_inflight_; });
+    window_cv_.wait(lock, [this] { return inflight_ < options_.max_inflight; });
     id = next_id_++;
     ++inflight_;
     start_ns_[id] = NowNs();

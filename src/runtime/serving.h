@@ -23,7 +23,7 @@
 // carry their id as the wire-level trace id, emitting one "req" flow chain per request so
 // a Perfetto trace shows each request hopping stage to stage. The transport is pluggable
 // exactly as in training: in-proc mailboxes or the CRC-framed socket transport, selected
-// by options or PIPEDREAM_TRANSPORT.
+// by ServingOptions::transport.
 #ifndef SRC_RUNTIME_SERVING_H_
 #define SRC_RUNTIME_SERVING_H_
 
@@ -50,12 +50,10 @@ class Histogram;
 }
 
 struct ServingOptions {
-  // Stage-to-stage transport; unset = in-proc. PIPEDREAM_TRANSPORT takes precedence,
-  // mirroring the trainer's override discipline.
-  std::optional<TransportKind> transport;
-  // Admission window: requests simultaneously between Submit and result collection. The
-  // PIPEDREAM_SERVE_QUEUE_DEPTH env variable takes precedence. Bounds the ingress mailbox
-  // depth (see serving_test.cc).
+  // Stage-to-stage transport.
+  TransportKind transport = TransportKind::kInProc;
+  // Admission window: requests simultaneously between Submit and result collection. Bounds
+  // the ingress mailbox depth (see serving_test.cc).
   int max_inflight = 8;
   // Stage-loop wait granularity: how often an idle stage re-checks the stop flag.
   int worker_tick_ms = 50;
@@ -121,7 +119,6 @@ class PipelineServer {
 
   PipelinePlan plan_;
   ServingOptions options_;
-  int max_inflight_;
   std::unique_ptr<MessageTransport> transport_;  // owns all inboxes; outlives the threads
   std::vector<std::unique_ptr<Sequential>> stage_models_;
   std::vector<Mailbox*> stage_inboxes_;  // [stage], plus the egress inbox at index num_stages

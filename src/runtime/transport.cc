@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -113,27 +112,6 @@ const char* TransportKindName(TransportKind kind) {
       return "socket";
   }
   return "unknown";
-}
-
-Result<TransportKind> ParseTransportKind(const std::string& name) {
-  if (name == "inproc" || name == "mailbox") {
-    return TransportKind::kInProc;
-  }
-  if (name == "socket" || name == "unix") {
-    return TransportKind::kUnixSocket;
-  }
-  return Status::InvalidArgument(
-      StrFormat("unknown transport '%s' (expected inproc|socket)", name.c_str()));
-}
-
-std::optional<TransportKind> TransportKindFromEnv() {
-  const char* value = std::getenv("PIPEDREAM_TRANSPORT");
-  if (value == nullptr || value[0] == '\0') {
-    return std::nullopt;
-  }
-  Result<TransportKind> parsed = ParseTransportKind(value);
-  PD_CHECK(parsed.ok()) << "PIPEDREAM_TRANSPORT: " << parsed.status().ToString();
-  return *parsed;
 }
 
 std::vector<uint8_t> SerializeMessage(const PipeMessage& message) {
@@ -468,14 +446,8 @@ class SocketTransport : public MessageTransport {
 
 }  // namespace
 
-std::unique_ptr<MessageTransport> MakeTransport(std::optional<TransportKind> kind) {
-  TransportKind resolved = TransportKind::kInProc;
-  if (kind.has_value()) {
-    resolved = *kind;
-  } else if (const std::optional<TransportKind> env = TransportKindFromEnv()) {
-    resolved = *env;
-  }
-  switch (resolved) {
+std::unique_ptr<MessageTransport> MakeTransport(TransportKind kind) {
+  switch (kind) {
     case TransportKind::kInProc:
       return std::make_unique<InProcTransport>();
     case TransportKind::kUnixSocket:

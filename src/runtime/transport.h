@@ -38,8 +38,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "src/common/status.h"
@@ -53,13 +51,6 @@ enum class TransportKind {
 };
 
 const char* TransportKindName(TransportKind kind);
-
-// Parses "inproc" | "socket" (alias "unix"). Unrecognized values are an error.
-Result<TransportKind> ParseTransportKind(const std::string& name);
-
-// PIPEDREAM_TRANSPORT environment override; nullopt when unset. Aborts on garbage (a typo
-// silently falling back to in-proc would invalidate every socket-transport measurement).
-std::optional<TransportKind> TransportKindFromEnv();
 
 // Message transports route PipeMessages between per-(stage, replica) endpoints. Lifecycle:
 // AddEndpoint() for every receiver, then Start(), then any number of concurrent Send()s,
@@ -98,9 +89,8 @@ class MessageTransport {
   const char* name() const { return TransportKindName(kind()); }
 };
 
-// Factory: `kind` unset resolves to PIPEDREAM_TRANSPORT, defaulting to in-proc.
-std::unique_ptr<MessageTransport> MakeTransport(
-    std::optional<TransportKind> kind = std::nullopt);
+// Factory: a fresh transport of `kind`, in-proc mailboxes by default.
+std::unique_ptr<MessageTransport> MakeTransport(TransportKind kind = TransportKind::kInProc);
 
 // --- wire helpers (exposed for the framing fuzz battery) ---
 

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/env.h"
 #include "src/common/thread_pool.h"
 #include "src/tensor/pool.h"
 #include "src/tensor/ref_ops.h"
@@ -23,19 +24,16 @@ namespace {
 // ---------------------------------------------------------------------------------------
 // Kernel dispatch. Three variants share the ops API: the naive reference oracle
 // (ref_ops.cc), the cache-blocked compiler-vectorized kernel, and the explicit-SIMD
-// register-tiled kernel. PIPEDREAM_NAIVE_KERNELS=1 (or the test hook) forces the oracle;
-// PIPEDREAM_KERNEL_VARIANT picks among all three; the default is the best variant the
-// build supports.
+// register-tiled kernel. PIPEDREAM_NAIVE_KERNELS=1 (or a test hook) forces the oracle;
+// the default is the best variant the build supports.
 // ---------------------------------------------------------------------------------------
 
 std::atomic<int> g_naive_override{-1};    // -1 = follow the environment
-std::atomic<int> g_variant_override{-1};  // -1 = follow the environment, else KernelVariant
+std::atomic<int> g_variant_override{-1};  // -1 = the default variant, else KernelVariant
 
 bool NaiveKernelsFromEnv() {
-  static const bool value = [] {
-    const char* env = std::getenv("PIPEDREAM_NAIVE_KERNELS");
-    return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
-  }();
+  static const bool value =
+      ParseEnvSwitch("PIPEDREAM_NAIVE_KERNELS", std::getenv("PIPEDREAM_NAIVE_KERNELS"));
   return value;
 }
 
@@ -47,22 +45,6 @@ KernelVariant DefaultKernelVariant() {
   // kernel's compiler-vectorized tile is the better default without a vector ISA.
   return KernelVariant::kBlocked;
 #endif
-}
-
-KernelVariant KernelVariantFromEnv() {
-  static const KernelVariant value = [] {
-    const char* env = std::getenv("PIPEDREAM_KERNEL_VARIANT");
-    if (env == nullptr || env[0] == '\0') {
-      return DefaultKernelVariant();
-    }
-    if (std::strcmp(env, "naive") == 0) return KernelVariant::kNaive;
-    if (std::strcmp(env, "blocked") == 0) return KernelVariant::kBlocked;
-    if (std::strcmp(env, "simd") == 0) return KernelVariant::kSimd;
-    PD_CHECK(false) << "PIPEDREAM_KERNEL_VARIANT must be naive, blocked, or simd; got '"
-                    << env << "'";
-    return DefaultKernelVariant();
-  }();
-  return value;
 }
 
 // ---------------------------------------------------------------------------------------
@@ -487,12 +469,7 @@ KernelVariant ActiveKernelVariant() {
   if (naive < 0 && NaiveKernelsFromEnv()) {
     return KernelVariant::kNaive;
   }
-  const KernelVariant from_env = KernelVariantFromEnv();
-  if (naive == 0 && from_env == KernelVariant::kNaive) {
-    // SetNaiveKernelsForTesting(false) must defeat a naive environment either way.
-    return DefaultKernelVariant();
-  }
-  return from_env;
+  return DefaultKernelVariant();
 }
 
 bool UseNaiveKernels() { return ActiveKernelVariant() == KernelVariant::kNaive; }

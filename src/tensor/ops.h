@@ -32,13 +32,13 @@ void SetNaiveKernelsForTesting(bool naive);
 enum class KernelVariant : int { kNaive = 0, kBlocked = 1, kSimd = 2 };
 
 // Resolves the variant for the current process, in precedence order:
-// SetNaiveKernelsForTesting(true), SetKernelVariantForTesting, PIPEDREAM_NAIVE_KERNELS=1,
-// PIPEDREAM_KERNEL_VARIANT=naive|blocked|simd (read once), then the best variant this
-// build supports (simd when compiled for a vector ISA, blocked otherwise).
+// SetNaiveKernelsForTesting(true), SetKernelVariantForTesting, PIPEDREAM_NAIVE_KERNELS=1
+// (read once), then the best variant this build supports (simd when compiled for a vector
+// ISA, blocked otherwise).
 KernelVariant ActiveKernelVariant();
 // Test hook pinning the variant for the current process (overrides the environment).
 void SetKernelVariantForTesting(KernelVariant v);
-// Reverts SetKernelVariantForTesting back to environment-driven dispatch.
+// Reverts SetKernelVariantForTesting back to the default dispatch.
 void ClearKernelVariantForTesting();
 // "naive" | "blocked" | "simd".
 const char* KernelVariantName(KernelVariant v);

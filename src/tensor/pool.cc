@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/env.h"
 #include "src/obs/metrics.h"
 
 namespace pipedream {
@@ -34,10 +35,8 @@ int64_t ClassCapacity(int32_t size_class) { return kMinClassElems << size_class;
 std::atomic<int> g_zero_copy_override{-1};  // -1 = follow the environment
 
 bool ZeroCopyFromEnv() {
-  static const bool value = [] {
-    const char* env = std::getenv("PIPEDREAM_NO_POOL");
-    return env == nullptr || env[0] == '\0' || std::strcmp(env, "0") == 0;
-  }();
+  static const bool value =
+      !ParseEnvSwitch("PIPEDREAM_NO_POOL", std::getenv("PIPEDREAM_NO_POOL"));
   return value;
 }
 

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
+#include "src/common/env.h"
 #include "src/common/sim_time.h"
 #include "src/common/stats.h"
 #include "src/common/status.h"
 #include "src/common/strings.h"
 #include "src/common/table.h"
+#include "src/tensor/ops.h"
+#include "src/tensor/pool.h"
 
 namespace pipedream {
 namespace {
@@ -163,6 +168,39 @@ TEST(TableTest, CsvEscaping) {
   const std::string csv = table.ToCsv();
   EXPECT_NE(csv.find("\"x,y\""), std::string::npos);
   EXPECT_NE(csv.find("\"quote\"\"inside\""), std::string::npos);
+}
+
+TEST(EnvSwitchTest, UnsetEmptyAndZeroAreOffOneIsOn) {
+  EXPECT_FALSE(ParseEnvSwitch("PIPEDREAM_NO_POOL", nullptr));
+  EXPECT_FALSE(ParseEnvSwitch("PIPEDREAM_NO_POOL", ""));
+  EXPECT_FALSE(ParseEnvSwitch("PIPEDREAM_NO_POOL", "0"));
+  EXPECT_TRUE(ParseEnvSwitch("PIPEDREAM_NO_POOL", "1"));
+}
+
+TEST(EnvSwitchDeathTest, AnyOtherValueAbortsNamingTheVariable) {
+  EXPECT_DEATH(ParseEnvSwitch("PIPEDREAM_NO_POOL", "false"), "PIPEDREAM_NO_POOL=false");
+  EXPECT_DEATH(ParseEnvSwitch("PIPEDREAM_METRICS_TABLE", "10"), "PIPEDREAM_METRICS_TABLE=10");
+  EXPECT_DEATH(ParseEnvSwitch("PIPEDREAM_NAIVE_KERNELS", "true"),
+               "PIPEDREAM_NAIVE_KERNELS=true");
+  EXPECT_DEATH(ParseEnvSwitch("PIPEDREAM_NAIVE_KERNELS", " 1"), "is not a switch");
+}
+
+// The kernel and pool switches read the environment once per process, so each case runs
+// in a freshly exec'd child that sets the variable before the first read.
+TEST(EnvSwitchDeathTest, KernelAndPoolSwitchesRejectFalse) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ::setenv("PIPEDREAM_NAIVE_KERNELS", "false", 1);
+        UseNaiveKernels();
+      },
+      "PIPEDREAM_NAIVE_KERNELS=false");
+  EXPECT_DEATH(
+      {
+        ::setenv("PIPEDREAM_NO_POOL", "false", 1);
+        BufferPool::ZeroCopyEnabled();
+      },
+      "PIPEDREAM_NO_POOL=false");
 }
 
 }  // namespace

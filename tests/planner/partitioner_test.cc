@@ -408,8 +408,8 @@ TEST(PartitionerTest, SkewedPredictionBeatsUniformPlan) {
   const auto uniform = PartitionFlat(profile, 3, 1e12, options);
 
   const auto topology = HardwareTopology::Flat(3, 1e12);
-  const auto het_pred = PredictPlan(profile, het.plan, topology, specs);
-  const auto uniform_pred = PredictPlan(profile, uniform.plan, topology, specs);
+  const auto het_pred = PredictPlan(profile, het.plan, topology, {}, specs);
+  const auto uniform_pred = PredictPlan(profile, uniform.plan, topology, {}, specs);
   EXPECT_GT(het_pred.throughput_samples_per_sec,
             uniform_pred.throughput_samples_per_sec * 1.2)
       << "het " << het.plan.ConfigString(profile.num_layers()) << " vs uniform "

@@ -77,15 +77,6 @@ TEST(PredictorTest, InFlightDepthsFollow1F1B) {
   EXPECT_EQ(prediction.stages[3].in_flight, 1);
 }
 
-TEST(PredictorTest, PipelineDepthOverrideScalesMemory) {
-  const auto profile = MakeGnmtProfile(8);
-  const auto plan = MakeBalancedStraightPlan(profile, 4);
-  const auto topo = HardwareTopology::Flat(4, 1e9);
-  const auto shallow = PredictPlan(profile, plan, topo, /*pipeline_depth=*/2);
-  const auto deep = PredictPlan(profile, plan, topo, /*pipeline_depth=*/7);
-  EXPECT_LT(shallow.max_worker_memory_bytes, deep.max_worker_memory_bytes);
-}
-
 TEST(PredictorTest, PipelineMemoryOnParWithDataParallel) {
   // Figure 16 / §3.3: worst-case per-worker footprint of the pipeline is on par with DP.
   const auto profile = MakeVgg16Profile();

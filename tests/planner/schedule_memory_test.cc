@@ -141,7 +141,7 @@ TEST(ScheduleMemoryTest, PredictorMatchesSimulatorAcrossZoo) {
         spec.flush_microbatches = 4;
         spec.recompute = recompute;
         const PlanPrediction prediction =
-            PredictPlanScheduled(profile, WithWeightMode(plan, mode), topology, spec);
+            PredictPlan(profile, WithWeightMode(plan, mode), topology, spec);
 
         SimOptions sim_options;
         sim_options.schedule = schedule;
@@ -170,7 +170,7 @@ TEST(ScheduleMemoryTest, PredictorMatchesSimulatorInterleaved) {
       spec.kind = ScheduleKind::kInterleaved;
       spec.interleave_chunks = chunks;
       spec.recompute = recompute;
-      const PlanPrediction prediction = PredictPlanScheduled(profile, plan, topology, spec);
+      const PlanPrediction prediction = PredictPlan(profile, plan, topology, spec);
 
       SimOptions sim_options;
       sim_options.schedule = ScheduleKind::kInterleaved;
@@ -195,7 +195,7 @@ TEST(ScheduleMemoryTest, StagePredictionsMatchMemoryModel) {
   spec.kind = ScheduleKind::kPipeDreamFlush;
   spec.flush_microbatches = 2;
   spec.recompute = true;
-  const PlanPrediction prediction = PredictPlanScheduled(profile, plan, topology, spec);
+  const PlanPrediction prediction = PredictPlan(profile, plan, topology, spec);
   ASSERT_EQ(prediction.stages.size(), 4u);
   for (int s = 0; s < plan.num_stages(); ++s) {
     const auto& stage = plan.stage(s);

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <vector>
 #include <unistd.h>
@@ -85,17 +84,6 @@ void ExpectModelsBitwiseEqual(const Sequential& a, const Sequential& b) {
   for (size_t i = 0; i < pa.size(); ++i) {
     EXPECT_EQ(MaxAbsDiff(pa[i]->value, pb[i]->value), 0.0) << pa[i]->name;
   }
-}
-
-TEST(WorkerSpecsFromEnvTest, ParsesSpeedList) {
-  ::setenv("PIPEDREAM_WORKER_SPEEDS", "1,1,0.5", 1);
-  const auto specs = WorkerSpecsFromEnv();
-  ::unsetenv("PIPEDREAM_WORKER_SPEEDS");
-  ASSERT_EQ(specs.size(), 3u);
-  EXPECT_DOUBLE_EQ(specs[0].speed, 1.0);
-  EXPECT_DOUBLE_EQ(specs[1].speed, 1.0);
-  EXPECT_DOUBLE_EQ(specs[2].speed, 0.5);
-  EXPECT_TRUE(WorkerSpecsFromEnv().empty());  // unset -> empty
 }
 
 TEST_F(ElasticTest, KillTriggersReplanMigrateResumeBitwise) {
@@ -362,34 +350,6 @@ TEST_F(ElasticTest, RejoinProbationReadmitsEjectedReplica) {
   EXPECT_EQ(trainer.ActiveReplicas(0), 2);
   EXPECT_EQ(last.minibatches, bpe);
   EXPECT_TRUE(std::isfinite(last.mean_loss));
-}
-
-TEST_F(ElasticTest, RejoinProbationEnvOverride) {
-  const Dataset data = MakeGaussianMixture(3, 6, 32, 0.3, 17);
-  SoftmaxCrossEntropy loss;
-  Sgd sgd(0.1);
-  Rng rng(2);
-  const auto model = BuildMlpClassifier(6, {16}, 3, &rng);
-  const auto plan = MakePlanFromShape({{2, 2}, {1, 1}});
-  PipelineTrainer trainer(*model, plan, &loss, sgd, &data, 12, /*seed=*/5);
-  CheckpointManager manager(dir_.string());
-  ::setenv("PIPEDREAM_REJOIN_PROBATION", "1", 1);
-  trainer.EnableRecovery(&manager, FastRecovery());  // options say 0; env wins
-  ::unsetenv("PIPEDREAM_REJOIN_PROBATION");
-  const int64_t bpe = trainer.batches_per_epoch();
-
-  FaultPlan fault_plan;
-  fault_plan.events.push_back({FaultKind::kKillWorker, /*stage=*/0, /*replica=*/1,
-                               /*minibatch=*/bpe + 1, WorkType::kForward, 0.0});
-  FaultInjector injector(fault_plan);
-  trainer.SetFaultInjector(&injector);
-
-  trainer.TrainEpoch();
-  trainer.TrainEpoch();  // kill -> ejection
-  EXPECT_EQ(trainer.ActiveReplicas(0), 1);
-  trainer.TrainEpoch();  // one clean epoch of probation
-  trainer.TrainEpoch();  // rejoined at this epoch's boundary
-  EXPECT_EQ(trainer.ActiveReplicas(0), 2);
 }
 
 TEST_F(ElasticTest, AddWorkerRejectsIncompatibleEpochGrid) {

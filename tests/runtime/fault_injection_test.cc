@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <unistd.h>
 
@@ -99,17 +98,6 @@ TEST(FaultPlanTest, RandomIsDeterministicPerSeed) {
     EXPECT_LT(e.replica, plan.stage(e.stage).replicas);
     EXPECT_LT(e.minibatch, 100);
   }
-}
-
-TEST(FaultPlanTest, FromEnvParsesExplicitPlan) {
-  ::setenv("PIPEDREAM_FAULT_PLAN", "kill:stage=1,mb=7", 1);
-  const auto plan = MakeStraightPlan(4, {2});
-  const FaultPlan from_env = FaultPlan::FromEnv(plan, 100);
-  ::unsetenv("PIPEDREAM_FAULT_PLAN");
-  ASSERT_EQ(from_env.events.size(), 1u);
-  EXPECT_EQ(from_env.events[0].kind, FaultKind::kKillWorker);
-  EXPECT_EQ(from_env.events[0].minibatch, 7);
-  EXPECT_TRUE(FaultPlan::FromEnv(plan, 100).empty());  // neither env var set
 }
 
 TEST_F(FaultInjectionTest, KilledWorkerRecoversBitwise) {

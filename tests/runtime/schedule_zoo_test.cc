@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -161,31 +160,6 @@ TEST(ScheduleZooTest, InterleavedRecomputeIsExactlyEquivalent) {
   EXPECT_EQ(ParamDiff(*a, *b), 0.0);
 }
 
-TEST(ScheduleZooTest, EnvKnobsOverrideOptions) {
-  // PIPEDREAM_SCHEDULE / PIPEDREAM_RECOMPUTE are read once in the constructor and override
-  // whatever the options carried; a run configured via env must match one configured in code.
-  const auto plan = MakeStraightPlan(3, {1, 2});
-  const Dataset data = TestData();
-  SoftmaxCrossEntropy loss;
-  Sgd sgd(kLr);
-
-  PipelineTrainerOptions explicit_options;
-  explicit_options.schedule = ScheduleKind::kPipeDreamFlush;
-  explicit_options.recompute_activations = true;
-  const auto expected = RunSchedule(&TestModel, plan, explicit_options, 2);
-
-  ::setenv("PIPEDREAM_SCHEDULE", "flush", 1);
-  ::setenv("PIPEDREAM_RECOMPUTE", "1", 1);
-  auto model = TestModel();
-  PipelineTrainer trainer(*model, plan, &loss, sgd, &data, kBatch, kSeed);
-  ::unsetenv("PIPEDREAM_SCHEDULE");
-  ::unsetenv("PIPEDREAM_RECOMPUTE");
-  EXPECT_TRUE(trainer.StageRecompute(0));
-  trainer.TrainEpoch();
-  trainer.TrainEpoch();
-  EXPECT_EQ(ParamDiff(*trainer.AssembleModel(), *expected), 0.0);
-}
-
 TEST(ScheduleZooTest, MeasuredPeakMemoryStaysUnderPredictedPeak) {
   // The planner's schedule-aware peak prediction must be an upper bound on what the runtime
   // actually materializes: copy-on-write weight-stash bytes plus live activation contexts,
@@ -237,7 +211,7 @@ TEST(ScheduleZooTest, MeasuredPeakMemoryStaysUnderPredictedPeak) {
     spec.flush_microbatches = 4;
     spec.interleave_chunks = cell.chunks;
     spec.recompute = cell.recompute;
-    const PlanPrediction prediction = PredictPlanScheduled(profile, plan, topology, spec);
+    const PlanPrediction prediction = PredictPlan(profile, plan, topology, spec);
 
     const int workers = plan.num_stages() / cell.chunks;
     int64_t measured_max = 0;

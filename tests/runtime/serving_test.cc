@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -234,29 +233,6 @@ INSTANTIATE_TEST_SUITE_P(AllTransports, ServingTest,
                          [](const ::testing::TestParamInfo<TransportKind>& param) {
                            return std::string(TransportKindName(param.param));
                          });
-
-TEST(ServingEnvTest, QueueDepthEnvOverridesOptions) {
-  obs::MetricsRegistry::Get().Reset();
-  const auto model = MakeModel();
-  const auto plan = MakeStraightPlan(static_cast<int>(model->size()), {2});
-  ::setenv("PIPEDREAM_SERVE_QUEUE_DEPTH", "2", 1);
-  ServingOptions options;
-  options.max_inflight = 64;  // env must win
-  options.worker_tick_ms = 5;
-  PipelineServer server(*model, plan, options);
-  ::unsetenv("PIPEDREAM_SERVE_QUEUE_DEPTH");
-  ASSERT_TRUE(server.Start().ok());
-  std::vector<int64_t> ids;
-  for (int i = 0; i < 12; ++i) {
-    ids.push_back(server.Submit(MakeRequest(1, static_cast<float>(i))));
-  }
-  for (const int64_t id : ids) {
-    server.Wait(id);
-  }
-  const int64_t hwm = server.IngressDepthHighWater();
-  server.Stop();
-  EXPECT_LE(hwm, 2) << "PIPEDREAM_SERVE_QUEUE_DEPTH did not cap the admission window";
-}
 
 }  // namespace
 }  // namespace pipedream

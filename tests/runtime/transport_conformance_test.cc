@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <string>
@@ -56,14 +55,6 @@ class TransportConformanceTest : public ::testing::TestWithParam<TransportKind> 
  protected:
   std::unique_ptr<MessageTransport> Make() { return MakeTransport(GetParam()); }
 };
-
-TEST_P(TransportConformanceTest, NamesRoundTripThroughParser) {
-  const auto transport = Make();
-  const auto parsed = ParseTransportKind(transport->name());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(*parsed, GetParam());
-  EXPECT_FALSE(ParseTransportKind("carrier-pigeon").ok());
-}
 
 TEST_P(TransportConformanceTest, EndpointLookupMatchesRegistration) {
   const auto transport = Make();
@@ -299,17 +290,6 @@ INSTANTIATE_TEST_SUITE_P(AllTransports, TransportConformanceTest,
                          [](const ::testing::TestParamInfo<TransportKind>& param) {
                            return std::string(TransportKindName(param.param));
                          });
-
-TEST(TransportEnvTest, EnvOverrideSelectsKind) {
-  ::setenv("PIPEDREAM_TRANSPORT", "socket", 1);
-  EXPECT_EQ(TransportKindFromEnv(), TransportKind::kUnixSocket);
-  EXPECT_EQ(MakeTransport()->kind(), TransportKind::kUnixSocket);
-  ::setenv("PIPEDREAM_TRANSPORT", "inproc", 1);
-  EXPECT_EQ(TransportKindFromEnv(), TransportKind::kInProc);
-  ::unsetenv("PIPEDREAM_TRANSPORT");
-  EXPECT_EQ(TransportKindFromEnv(), std::nullopt);
-  EXPECT_EQ(MakeTransport()->kind(), TransportKind::kInProc);  // default
-}
 
 }  // namespace
 }  // namespace pipedream

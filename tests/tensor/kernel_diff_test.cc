@@ -292,9 +292,9 @@ TEST(KernelDiffTest, ElementwiseOps) {
 // --------------------------------------------------------------------------------------
 // Variant-parameterized differentials: the same oracle checks, but with the kernel pinned
 // via SetKernelVariantForTesting so both register-tiled implementations are exercised in
-// every build regardless of which one dispatch would pick. The pin outranks both
-// PIPEDREAM_NAIVE_KERNELS and PIPEDREAM_KERNEL_VARIANT, so these tests still cover
-// blocked/simd in the env-naive ctest duplicates.
+// every build regardless of which one dispatch would pick. The pin outranks
+// PIPEDREAM_NAIVE_KERNELS, so these tests still cover blocked/simd in the env-naive ctest
+// duplicates.
 
 class KernelVariantDiffTest : public ::testing::TestWithParam<KernelVariant> {
  protected:
@@ -378,7 +378,7 @@ TEST(KernelDiffTest, NaiveSwitchRoutesToReference) {
 // naive override, and every earlier test must see the environment's choice untouched so
 // the env-naive ctest duplicates genuinely exercise the naive route.
 TEST(KernelDispatchTest, VariantPrecedenceAndIntrospection) {
-  // A pinned variant outranks both env knobs.
+  // A pinned variant outranks the PIPEDREAM_NAIVE_KERNELS switch.
   for (const KernelVariant v :
        {KernelVariant::kNaive, KernelVariant::kBlocked, KernelVariant::kSimd}) {
     SetKernelVariantForTesting(v);
