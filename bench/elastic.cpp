@@ -111,7 +111,7 @@ MigrationRow MeasureMigration(int epochs_after) {
   options.recovery.worker_tick_ms = 5;
   options.recovery.watchdog_poll_ms = 2;
   ElasticTrainer elastic(*model, profile, &loss, sgd, &data, /*batch_size=*/4, /*seed=*/5,
-                         {{1.0, 0}, {1.0, 0}, {1.0, 0}, {0.5, 0}}, &manager, options);
+                         {{1.0}, {1.0}, {1.0}, {0.5}}, &manager, options);
 
   MigrationRow row;
   row.epoch_length = elastic.epoch_length();

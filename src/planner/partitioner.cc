@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "src/common/logging.h"
+#include "src/planner/cost_model.h"
 #include "src/planner/memory_model.h"
 
 namespace pipedream {
@@ -47,21 +48,14 @@ class DpTables {
   std::vector<Choice> choice_;
 };
 
-// Solves one level of the §3.1 recurrence.
+// Solves one level of the §3.1 recurrence for every start layer, as PartitionHierarchical's
+// lower levels need.
 //   substrate(i, j): compute time of layers i..j on a single worker of this level
 //                    (level 1: sum of T_l; level k: A_{k-1}(i -> j, m_{k-1})).
-//   T(i,j,m) = (1/m) max(substrate(i,j), 2(m-1) sum_w(i,j) / (m B_coll))
+//   T(i,j,m) = (1/m) max(substrate(i,j), SyncWallSeconds(m, sum_w(i,j)) / unit_size)
 //   A(i,j,m) = min(T(i,j,m), min_{s,m'} max(A(i,s,m-m'), 2 a_s / B_p2p, T(s+1,j,m')))
-//
-// The sync term divides by m once more than the paper prints it: a ring all_reduce moves
-// 2(m-1)/m * |w| per worker per round of m minibatches, so its *wall* time per round is
-// 2(m-1)|w|/(m B). The paper's literal expression reads as a shared bus at every level,
-// which contradicts its own measured baselines (per-server NICs); the ring form matches
-// them and is what NCCL/Gloo implement. DESIGN.md records this substitution.
-// `unit_size` is the number of actual workers inside one substrate component (1 at level
-// 1). A level-k sync round aggregates gradients from units that each processed unit_size
-// minibatches, so the sync wall amortizes over m * unit_size minibatches — without this the
-// recurrence would under-amortize collectives at upper levels by the component size.
+// `unit_size` is the number of actual workers inside one substrate component (1 at level 1);
+// cost_model.h derives the ring form of the sync term and its upper-level amortization.
 DpTables SolveLevel(const ModelProfile& profile,
                     const std::function<double(int, int)>& substrate, int mmax,
                     double collective_bandwidth, double p2p_bandwidth, bool shared_bus,
@@ -101,9 +95,9 @@ DpTables SolveLevel(const ModelProfile& profile,
     if (!options.allow_replication) {
       return kInf;
     }
-    const double ring_divisor = shared_bus ? 1.0 : static_cast<double>(m);
-    const double sync = 2.0 * static_cast<double>(m - 1) * range_weight(i, j) /
-                        (ring_divisor * collective_bandwidth * static_cast<double>(unit_size));
+    const double sync = SyncWallSeconds(m, static_cast<int64_t>(range_weight(i, j)),
+                                        collective_bandwidth, shared_bus) /
+                        static_cast<double>(unit_size);
     return std::max(compute, sync) / static_cast<double>(m);
   };
 
@@ -116,7 +110,7 @@ DpTables SolveLevel(const ModelProfile& profile,
         // Option 2: optimal sub-pipeline over i..s plus a single stage s+1..j.
         for (int s = i; s < j; ++s) {
           const double boundary =
-              2.0 * static_cast<double>(profile.BoundaryActivationBytes(s)) / p2p_bandwidth;
+              BoundaryRoundTripSeconds(profile.BoundaryActivationBytes(s), p2p_bandwidth);
           for (int mp = 1; mp < m; ++mp) {
             const double left = tables.A(i, s, m - mp);
             if (left == kInf) {
@@ -195,60 +189,11 @@ void ReconstructLevel(
   out->insert(out->end(), inner.begin(), inner.end());
 }
 
-}  // namespace
-
-PartitionResult PartitionFlat(const ModelProfile& profile, int workers,
-                              double bandwidth_bytes_per_sec,
-                              const PartitionerOptions& options) {
-  PD_CHECK_GE(workers, 1);
-  PD_CHECK_GT(bandwidth_bytes_per_sec, 0.0);
-  const int n = profile.num_layers();
-  const int usable =
-      options.max_workers_used > 0 ? std::min(workers, options.max_workers_used) : workers;
-
-  auto substrate = [&](int i, int j) { return profile.ComputeSeconds(i, j + 1); };
-  const DpTables tables =
-      SolveLevel(profile, substrate, usable, bandwidth_bytes_per_sec * options.collective_efficiency,
-                 bandwidth_bytes_per_sec * options.p2p_efficiency,
-                 options.collective_shared_bus, /*unit_size=*/1, options);
-
-  PD_CHECK(tables.A(0, n - 1, usable) < kInf)
-      << "no feasible partition of " << profile.model_name << " over " << usable << " workers";
-
-  // Leaf expansion: one stage on one worker.
-  auto expand_leaf = [](int i, int j, const std::vector<int>& component,
-                        std::vector<StageAssignment>* out) {
-    PD_CHECK_EQ(component.size(), 1u);
-    StageAssignment s;
-    s.begin_layer = i;
-    s.end_layer = j + 1;
-    s.replicas = 1;
-    s.workers = component;
-    out->push_back(std::move(s));
-  };
-  std::vector<std::vector<int>> components;
-  components.reserve(static_cast<size_t>(usable));
-  for (int w = 0; w < usable; ++w) {
-    components.push_back({w});
-  }
-  std::vector<StageAssignment> stages;
-  ReconstructLevel(tables, 0, n - 1, usable, components, expand_leaf, &stages);
-
-  PartitionResult result;
-  result.plan = PipelinePlan(std::move(stages));
-  result.plan.Validate(n);
-  result.bottleneck_seconds = tables.A(0, n - 1, usable);
-  ChooseWeightModes(profile, options.device_memory_bytes, &result.plan);
-  ChooseRecompute(profile, options.device_memory_bytes, &result.plan);
-  return result;
-}
-
-namespace {
-
 // One DP pass over a fixed worker order: H[j][c] is the slowest-stage time of the best
 // pipeline covering layers 0..j (inclusive) using exactly the first c workers of `order`,
-// where every stage is a contiguous block of the order. HetChoice records the last stage's
-// layer split and worker count for reconstruction.
+// where every stage is a contiguous block of the order. With unit speeds this is SolveLevel's
+// start-at-layer-0 row: the same recurrence, in the same loop order, on the same doubles.
+// HetChoice records the last stage's layer split and worker count for reconstruction.
 struct HetChoice {
   int split = -1;       // -1: single stage over layers 0..j; else last stage starts at split+1
   int right_workers = 0;  // workers in the last stage's block when split >= 0
@@ -267,37 +212,28 @@ HetSolution SolveHeterogeneousOrdered(const ModelProfile& profile,
   const int w = static_cast<int>(order.size());
   const double coll_bw = bandwidth * options.collective_efficiency;
   const double p2p_bw = bandwidth * options.p2p_efficiency;
-  constexpr int64_t kNoBudget = std::numeric_limits<int64_t>::max();
 
-  // Block [a, b) aggregates: slowest member gates the round-robin round; tightest memory
-  // budget gates feasibility (per-worker memory_bytes overrides the global option).
+  // Block [a, b) aggregate: the slowest member gates the round-robin round.
   std::vector<double> min_speed(static_cast<size_t>(w) * (w + 1), 0.0);
-  std::vector<int64_t> min_budget(static_cast<size_t>(w) * (w + 1), kNoBudget);
   auto block_index = [w](int a, int b) { return static_cast<size_t>(a) * (w + 1) + b; };
   for (int a = 0; a < w; ++a) {
     double speed = kInf;
-    int64_t budget = kNoBudget;
     for (int b = a + 1; b <= w; ++b) {
-      const WorkerSpec& spec = specs[static_cast<size_t>(order[static_cast<size_t>(b - 1)])];
-      speed = std::min(speed, spec.speed);
-      const int64_t device = spec.memory_bytes > 0 ? spec.memory_bytes
-                             : options.device_memory_bytes > 0 ? options.device_memory_bytes
-                                                               : kNoBudget;
-      budget = std::min(budget, device);
+      speed = std::min(speed, specs[static_cast<size_t>(order[static_cast<size_t>(b - 1)])].speed);
       min_speed[block_index(a, b)] = speed;
-      min_budget[block_index(a, b)] = budget;
     }
   }
 
-  // Stage over layers [i..j] replicated across the worker block [a, b) of the order.
+  // Stage over layers [i..j] replicated across the worker block [a, b) of the order. Stages
+  // that cannot fit even one in-flight minibatch (weights + gradients + one weight stash +
+  // one activation stash) are rejected, as in SolveLevel.
   auto stage_time = [&](int i, int j, int a, int b) -> double {
     const int m = b - a;
     const double compute =
         profile.ComputeSeconds(i, j + 1) / min_speed[block_index(a, b)];
     const int64_t weights = profile.ParamBytes(i, j + 1);
-    const int64_t budget = min_budget[block_index(a, b)];
-    if (budget != kNoBudget &&
-        3 * weights + profile.ActivationBytes(i, j + 1) > budget) {
+    if (options.device_memory_bytes > 0 &&
+        3 * weights + profile.ActivationBytes(i, j + 1) > options.device_memory_bytes) {
       return kInf;
     }
     if (m == 1) {
@@ -306,9 +242,7 @@ HetSolution SolveHeterogeneousOrdered(const ModelProfile& profile,
     if (!options.allow_replication) {
       return kInf;
     }
-    const double ring_divisor = options.collective_shared_bus ? 1.0 : static_cast<double>(m);
-    const double sync = 2.0 * static_cast<double>(m - 1) * static_cast<double>(weights) /
-                        (ring_divisor * coll_bw);
+    const double sync = SyncWallSeconds(m, weights, coll_bw, options.collective_shared_bus);
     return std::max(compute, sync) / static_cast<double>(m);
   };
 
@@ -321,7 +255,7 @@ HetSolution SolveHeterogeneousOrdered(const ModelProfile& profile,
       HetChoice ch;
       for (int s = 0; s < j; ++s) {
         const double boundary =
-            2.0 * static_cast<double>(profile.BoundaryActivationBytes(s)) / p2p_bw;
+            BoundaryRoundTripSeconds(profile.BoundaryActivationBytes(s), p2p_bw);
         for (int mp = 1; mp < c; ++mp) {
           const double left = best[dp_index(s, c - mp)];
           if (left >= kInf) {
@@ -378,7 +312,38 @@ HetSolution SolveHeterogeneousOrdered(const ModelProfile& profile,
   return solution;
 }
 
+// The common tail of every Partition* entry point: validate the plan, then run the
+// memory post-passes.
+PartitionResult FinishPartition(const ModelProfile& profile, std::vector<StageAssignment> stages,
+                                double bottleneck_seconds, const PartitionerOptions& options) {
+  PartitionResult result;
+  result.plan = PipelinePlan(std::move(stages));
+  result.plan.Validate(profile.num_layers());
+  result.bottleneck_seconds = bottleneck_seconds;
+  ChooseWeightModes(profile, options.device_memory_bytes, &result.plan);
+  ChooseRecompute(profile, options.device_memory_bytes, &result.plan);
+  return result;
+}
+
 }  // namespace
+
+PartitionResult PartitionFlat(const ModelProfile& profile, int workers,
+                              double bandwidth_bytes_per_sec,
+                              const PartitionerOptions& options) {
+  PD_CHECK_GE(workers, 1);
+  PD_CHECK_GT(bandwidth_bytes_per_sec, 0.0);
+  const int usable =
+      options.max_workers_used > 0 ? std::min(workers, options.max_workers_used) : workers;
+  // Identical unit-speed devices in id order.
+  std::vector<int> order(static_cast<size_t>(usable));
+  std::iota(order.begin(), order.end(), 0);
+  HetSolution solution =
+      SolveHeterogeneousOrdered(profile, std::vector<WorkerSpec>(order.size()), order,
+                                bandwidth_bytes_per_sec, options);
+  PD_CHECK(solution.bottleneck < kInf)
+      << "no feasible partition of " << profile.model_name << " over " << usable << " workers";
+  return FinishPartition(profile, std::move(solution.stages), solution.bottleneck, options);
+}
 
 PartitionResult PartitionHeterogeneous(const ModelProfile& profile,
                                        const std::vector<WorkerSpec>& workers,
@@ -386,7 +351,6 @@ PartitionResult PartitionHeterogeneous(const ModelProfile& profile,
                                        const PartitionerOptions& options) {
   PD_CHECK(!workers.empty());
   PD_CHECK_GT(bandwidth_bytes_per_sec, 0.0);
-  const int n = profile.num_layers();
 
   // Worker ids sorted fastest-first; an optional cap keeps the fastest devices.
   std::vector<int> by_speed(workers.size());
@@ -398,43 +362,13 @@ PartitionResult PartitionHeterogeneous(const ModelProfile& profile,
       static_cast<int>(by_speed.size()) > options.max_workers_used) {
     by_speed.resize(static_cast<size_t>(options.max_workers_used));
   }
-
-  bool uniform = true;
   for (int id : by_speed) {
-    const WorkerSpec& spec = workers[static_cast<size_t>(id)];
-    PD_CHECK_GT(spec.speed, 0.0) << "worker " << id << " has non-positive speed";
-    uniform = uniform && spec.speed == workers[static_cast<size_t>(by_speed[0])].speed &&
-              spec.memory_bytes == workers[static_cast<size_t>(by_speed[0])].memory_bytes;
-  }
-  if (uniform) {
-    // Identical devices: delegate to the flat DP on a speed-scaled profile so plans and
-    // bottlenecks line up exactly with the homogeneous path.
-    const WorkerSpec& spec = workers[static_cast<size_t>(by_speed[0])];
-    PartitionerOptions flat_options = options;
-    flat_options.max_workers_used = 0;  // the cap was applied above
-    if (spec.memory_bytes > 0) {
-      flat_options.device_memory_bytes = spec.memory_bytes;
-    }
-    PartitionResult result =
-        PartitionFlat(profile.Scaled(spec.speed, 1.0), static_cast<int>(by_speed.size()),
-                      bandwidth_bytes_per_sec, flat_options);
-    if (static_cast<int>(by_speed.size()) < static_cast<int>(workers.size())) {
-      // Remap the flat DP's dense 0..k-1 ids onto the retained (fastest) workers.
-      std::vector<StageAssignment> stages = result.plan.stages();
-      for (StageAssignment& stage : stages) {
-        for (int& id : stage.workers) {
-          id = by_speed[static_cast<size_t>(id)];
-        }
-        std::sort(stage.workers.begin(), stage.workers.end());
-      }
-      result.plan = PipelinePlan(std::move(stages));
-      result.plan.Validate(n);
-    }
-    return result;
+    PD_CHECK_GT(workers[static_cast<size_t>(id)].speed, 0.0)
+        << "worker " << id << " has non-positive speed";
   }
 
-  // Heterogeneous: contiguous blocks of the speed-sorted order, tried in both directions
-  // (fastest-first puts fast workers on the deep input stages; slowest-first the reverse).
+  // Contiguous blocks of the speed-sorted order, tried in both directions (fastest-first
+  // puts fast workers on the deep input stages; slowest-first the reverse).
   HetSolution best = SolveHeterogeneousOrdered(profile, workers, by_speed,
                                                bandwidth_bytes_per_sec, options);
   std::vector<int> reversed(by_speed.rbegin(), by_speed.rend());
@@ -446,14 +380,7 @@ PartitionResult PartitionHeterogeneous(const ModelProfile& profile,
   PD_CHECK(best.bottleneck < kInf)
       << "no feasible heterogeneous partition of " << profile.model_name << " over "
       << by_speed.size() << " workers";
-
-  PartitionResult result;
-  result.plan = PipelinePlan(std::move(best.stages));
-  result.plan.Validate(n);
-  result.bottleneck_seconds = best.bottleneck;
-  ChooseWeightModes(profile, options.device_memory_bytes, &result.plan);
-  ChooseRecompute(profile, options.device_memory_bytes, &result.plan);
-  return result;
+  return FinishPartition(profile, std::move(best.stages), best.bottleneck, options);
 }
 
 PartitionResult PartitionHierarchical(const ModelProfile& profile,
@@ -529,14 +456,7 @@ PartitionResult PartitionHierarchical(const ModelProfile& profile,
   }
   std::vector<StageAssignment> stages;
   expand[static_cast<size_t>(num_levels)](0, n - 1, all_workers, &stages);
-
-  PartitionResult result;
-  result.plan = PipelinePlan(std::move(stages));
-  result.plan.Validate(n);
-  result.bottleneck_seconds = top.A(0, n - 1, top_m);
-  ChooseWeightModes(profile, options.device_memory_bytes, &result.plan);
-  ChooseRecompute(profile, options.device_memory_bytes, &result.plan);
-  return result;
+  return FinishPartition(profile, std::move(stages), top.A(0, n - 1, top_m), options);
 }
 
 PartitionResult Partition(const ModelProfile& profile, const HardwareTopology& topology,

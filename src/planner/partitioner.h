@@ -1,14 +1,17 @@
 // PipeDream's partitioning optimizer (paper §3.1).
 //
-// Two variants:
-//   PartitionFlat         — the dynamic program over a single interconnect level, used
-//                           directly when the topology is flat and as the per-level kernel.
-//   PartitionHierarchical — the full level-by-level composition of Figure 7's hierarchy:
-//                           level k's "workers" are whole level-(k-1) components, and
-//                           replicating a stage at level k replicates the entire optimal
-//                           sub-pipeline computed for the lower level.
+// Two dynamic programs, both priced by src/planner/cost_model.h:
+//   PartitionFlat and      — one prefix DP over a single interconnect level and an ordered
+//   PartitionHeterogeneous   worker list: the best pipeline over layers 0..j on the first c
+//                            workers. Flat partitioning runs it on unit-speed workers in id
+//                            order; heterogeneous partitioning on the speed-sorted order.
+//   PartitionHierarchical  — the full level-by-level composition of Figure 7's hierarchy
+//                            (per-level kernel SolveLevel, which solves every start layer):
+//                            level k's "workers" are whole level-(k-1) components, and
+//                            replicating a stage at level k replicates the entire optimal
+//                            sub-pipeline computed for the lower level.
 //
-// Both return the plan plus the predicted slowest-stage time A (seconds per minibatch,
+// All return the plan plus the predicted slowest-stage time A (seconds per minibatch,
 // amortized per input), which upper-bounds pipeline throughput in steady state.
 #ifndef SRC_PLANNER_PARTITIONER_H_
 #define SRC_PLANNER_PARTITIONER_H_
@@ -25,13 +28,13 @@ struct PartitionerOptions {
                                     // (weights + stashes for their in-flight depth) are
                                     // rejected during the search
   int max_workers_used = 0;         // 0 = use all workers; otherwise an upper bound
-  // Bandwidth derating applied by PartitionFlat (PartitionHierarchical reads the per-level
-  // factors from the topology instead). 1.0 = the raw bandwidth argument is already
-  // effective.
+  // Bandwidth derating applied by PartitionFlat and PartitionHeterogeneous
+  // (PartitionHierarchical reads the per-level factors from the topology instead).
+  // 1.0 = the raw bandwidth argument is already effective.
   double collective_efficiency = 1.0;
   double p2p_efficiency = 1.0;
-  // PartitionFlat only: model the interconnect as one shared medium (PCIe-tree semantics)
-  // rather than per-worker links. See TopologyLevel::shared_bus.
+  // Model the interconnect as one shared medium (PCIe-tree semantics) rather than per-worker
+  // links. See TopologyLevel::shared_bus; PartitionHierarchical reads it from the topology.
   bool collective_shared_bus = false;
 };
 
@@ -47,15 +50,14 @@ PartitionResult PartitionFlat(const ModelProfile& profile, int workers,
                               double bandwidth_bytes_per_sec,
                               const PartitionerOptions& options = {});
 
-// Dynamic program over heterogeneous devices joined by links of a single bandwidth.
-// `workers[w].speed` stretches any stage hosted on worker w by 1/speed, and a replicated
-// stage's round-robin round is gated by its slowest member, so a block's effective compute
-// is raw_compute / min(speed). The search considers contiguous blocks of the speed-sorted
-// worker order (both directions, keeping the better plan) — slow devices end up grouped on
-// thin layer ranges, the BaPipe-style behavior the skewed-cluster tests assert. Worker ids
-// in the returned plan index into `workers`; every worker is used unless
-// options.max_workers_used caps the count (the fastest are kept). Per-worker memory_bytes,
-// when set, overrides options.device_memory_bytes for that device.
+// The same dynamic program over heterogeneous devices joined by links of a single
+// bandwidth. `workers[w].speed` stretches any stage hosted on worker w by 1/speed, and a
+// replicated stage's round-robin round is gated by its slowest member, so a block's
+// effective compute is raw_compute / min(speed). The search considers contiguous blocks of
+// the speed-sorted worker order (both directions, keeping the better plan) — slow devices
+// end up grouped on thin layer ranges, the BaPipe-style behavior the skewed-cluster tests
+// assert. Worker ids in the returned plan index into `workers`; every worker is used unless
+// options.max_workers_used caps the count (the fastest are kept).
 PartitionResult PartitionHeterogeneous(const ModelProfile& profile,
                                        const std::vector<WorkerSpec>& workers,
                                        double bandwidth_bytes_per_sec,

@@ -39,12 +39,10 @@ struct StageAssignment {
 
 // One physical worker as the elastic planner sees it. `speed` is a relative compute factor
 // against the profile's reference device (0.5 = half speed, so any stage hosted there takes
-// 1/speed longer); `memory_bytes` optionally overrides the global
-// PartitionerOptions::device_memory_bytes budget for this device (0 = use the global
-// budget). Membership changes re-run the partitioner over the live WorkerSpec set.
+// 1/speed longer); every device shares PartitionerOptions::device_memory_bytes as its
+// budget. Membership changes re-run the partitioner over the live WorkerSpec set.
 struct WorkerSpec {
   double speed = 1.0;
-  int64_t memory_bytes = 0;
 };
 
 class PipelinePlan {

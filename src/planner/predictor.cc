@@ -3,32 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/planner/cost_model.h"
 #include "src/planner/memory_model.h"
 
 namespace pipedream {
 namespace {
-
-// The outermost (slowest) level any pair of the given workers must cross.
-int BottleneckLevel(const HardwareTopology& topology, const std::vector<int>& workers) {
-  int worst = 1;
-  for (size_t a = 0; a < workers.size(); ++a) {
-    for (size_t b = a + 1; b < workers.size(); ++b) {
-      worst = std::max(worst, topology.SharedLevel(workers[a], workers[b]));
-    }
-  }
-  return worst;
-}
-
-// Ring (or shared-bus) all_reduce wall time for m replicas' gradients of `bytes` each.
-double SyncWallSeconds(const HardwareTopology& topology, const std::vector<int>& workers,
-                       int64_t bytes) {
-  const TopologyLevel& level =
-      topology.level(BottleneckLevel(topology, workers));
-  const auto m = static_cast<double>(workers.size());
-  const double divisor = level.shared_bus ? 1.0 : m;
-  return 2.0 * (m - 1.0) * static_cast<double>(bytes) /
-         (divisor * level.effective_collective_bandwidth());
-}
 
 // Slowest effective point-to-point link between any worker of one stage and any of the next.
 double MinCrossP2pBandwidth(const HardwareTopology& topology, const std::vector<int>& from,
@@ -111,15 +90,13 @@ PlanPrediction PredictPlan(const ModelProfile& profile, const PipelinePlan& plan
     }
 
     if (m > 1) {
-      // All_reduce wall time per round of m minibatches (the §3.1 sync term in its
-      // physically-consistent form — see the SolveLevel comment in partitioner.cc).
-      sp.sync_seconds = SyncWallSeconds(topology, stage.workers, sp.weight_bytes);
-      // Gradient all_reduce bytes, DDP-style: one collective aggregates the m replicas'
-      // gradients, moving 2(m-1)/m * |w| per replica — so 2(m-1)|w|/m per synchronized group
-      // of m minibatches... i.e. 2(m-1)|w|/m per minibatch group member.
-      bytes_per_minibatch +=
-          2.0 * static_cast<double>(m - 1) * static_cast<double>(sp.weight_bytes) /
-          static_cast<double>(m);
+      // All_reduce wall time per round of m minibatches, at the slowest level the stage's
+      // replicas span (the §3.1 sync term in its ring form — see cost_model.h).
+      const TopologyLevel& level = topology.level(BottleneckLevel(topology, stage.workers));
+      sp.sync_seconds = SyncWallSeconds(m, sp.weight_bytes,
+                                        level.effective_collective_bandwidth(), level.shared_bus);
+      // One collective per round of m minibatches, so each minibatch carries 1/m of its bytes.
+      bytes_per_minibatch += RingAllReduceBytes(m, sp.weight_bytes) / static_cast<double>(m);
     }
     sp.effective_seconds = std::max(sp.compute_seconds, sp.sync_seconds) / m;
     if (interleaved) {
@@ -132,7 +109,7 @@ PlanPrediction PredictPlan(const ModelProfile& profile, const PipelinePlan& plan
       const StageAssignment& prev = plan.stage(s - 1);
       const int64_t boundary_bytes = profile.BoundaryActivationBytes(prev.end_layer - 1);
       const double bw = MinCrossP2pBandwidth(topology, prev.workers, stage.workers);
-      sp.input_comm_seconds = 2.0 * static_cast<double>(boundary_bytes) / bw;
+      sp.input_comm_seconds = BoundaryRoundTripSeconds(boundary_bytes, bw);
       bottleneck = std::max(bottleneck, sp.input_comm_seconds);
       // Forward activations + backward gradients cross the boundary once per minibatch.
       bytes_per_minibatch += 2.0 * static_cast<double>(boundary_bytes);

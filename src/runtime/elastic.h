@@ -11,7 +11,7 @@
 //                    sits at an update boundary on the global epoch grid.
 //   plan-tagged ckpt the outgoing plan writes its stage files plus a PlanManifest (stage
 //                    count, layer ranges, generation, CRC) for the boundary epoch.
-//   re-partition     PartitionHeterogeneous over the live workers' speeds/memory.
+//   re-partition     PartitionHeterogeneous over the live workers' speeds.
 //   rebuild          a fresh PipelineTrainer under the new plan: new stage slices,
 //                    mailboxes/transport endpoints, all-reduce rings, weight stores.
 //   layer-range      weights restore by LAYER RANGE via the manifest — stage boundaries

@@ -47,16 +47,25 @@ std::string FaultPlan::ToString() const {
 FaultPlan FaultPlan::Random(uint64_t seed, const PipelinePlan& plan, int64_t num_minibatches,
                             int num_faults, double max_duration_ms) {
   PD_CHECK_GE(num_minibatches, 1);
+  const int num_stages = plan.num_stages();
   Rng rng(seed);
   FaultPlan out;
   for (int i = 0; i < num_faults; ++i) {
     FaultEvent e;
-    e.kind = static_cast<FaultKind>(rng.UniformInt(5));
-    e.stage = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(plan.num_stages())));
+    // Message faults need an edge that sends: forwards leave stages 0..S-2 and backwards
+    // leave stages 1..S-1, so a one-stage plan draws only kill or stall.
+    e.kind = static_cast<FaultKind>(rng.UniformInt(num_stages > 1 ? 5 : 2));
+    const bool message = e.kind != FaultKind::kKillWorker && e.kind != FaultKind::kStallWorker;
+    e.work = rng.UniformInt(2) == 0 ? WorkType::kForward : WorkType::kBackward;
+    if (message) {
+      e.stage = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(num_stages - 1))) +
+                (e.work == WorkType::kBackward ? 1 : 0);
+    } else {
+      e.stage = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(num_stages)));
+    }
     e.replica = static_cast<int>(
         rng.UniformInt(static_cast<uint64_t>(plan.stage(e.stage).replicas)));
     e.minibatch = static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(num_minibatches)));
-    e.work = rng.UniformInt(2) == 0 ? WorkType::kForward : WorkType::kBackward;
     if (e.kind == FaultKind::kStallWorker || e.kind == FaultKind::kDelayMessage) {
       e.duration_ms = rng.Uniform(1.0, max_duration_ms);
     }

@@ -55,7 +55,9 @@ struct FaultPlan {
   std::string ToString() const;
 
   // Generates `num_faults` random events against a plan's stage/replica shape, drawn
-  // deterministically from `seed`. Minibatch triggers fall in [0, num_minibatches).
+  // deterministically from `seed`. Minibatch triggers fall in [0, num_minibatches). Message
+  // faults land only on messages the plan sends: forwards out of stages 0..S-2, backwards
+  // out of stages 1..S-1.
   static FaultPlan Random(uint64_t seed, const PipelinePlan& plan, int64_t num_minibatches,
                           int num_faults = 1, double max_duration_ms = 50.0);
 

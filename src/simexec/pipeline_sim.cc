@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/common/logging.h"
+#include "src/planner/cost_model.h"
 #include "src/planner/memory_model.h"
 #include "src/planner/partitioner.h"
 #include "src/schedule/program.h"
@@ -220,21 +221,12 @@ void PipelineSimulation::BuildStages() {
     info.boundary_out_bytes =
         s + 1 < num_stages ? profile_.BoundaryActivationBytes(assignment.end_layer - 1) : 0;
     if (assignment.replicas > 1) {
-      int worst_level = 1;
-      for (size_t a = 0; a < assignment.workers.size(); ++a) {
-        for (size_t b = a + 1; b < assignment.workers.size(); ++b) {
-          worst_level = std::max(worst_level, topology_.SharedLevel(assignment.workers[a],
-                                                                    assignment.workers[b]));
-        }
-      }
-      const TopologyLevel& level = topology_.level(worst_level);
-      // All_reduce wall time for one sync round (aggregating the m replicas' gradients):
-      // ring over per-participant links, or serialized traffic on a shared bus.
-      const double divisor =
-          level.shared_bus ? 1.0 : static_cast<double>(assignment.replicas);
-      info.sync_seconds = 2.0 * static_cast<double>(assignment.replicas - 1) *
-                          static_cast<double>(info.weight_bytes) /
-                          (divisor * level.effective_collective_bandwidth());
+      // All_reduce wall time for one sync round, priced as the predictor prices it.
+      const TopologyLevel& level =
+          topology_.level(BottleneckLevel(topology_, assignment.workers));
+      info.sync_seconds =
+          SyncWallSeconds(assignment.replicas, info.weight_bytes,
+                          level.effective_collective_bandwidth(), level.shared_bus);
     }
   }
 
@@ -555,8 +547,7 @@ void PipelineSimulation::OnComplete(Worker* w, Replica* r, WorkType type, int64_
         stage.bwd_in_round = 0;
         const SimTime start = stage.sync_timeline.Acquire(
             engine_.now(), SimTime::FromSeconds(stage.sync_seconds));
-        comm_bytes_ += 2.0 * static_cast<double>(replicas - 1) *
-                       static_cast<double>(stage.weight_bytes);
+        comm_bytes_ += RingAllReduceBytes(replicas, stage.weight_bytes);
         StageInfo* stage_ptr = &stage;
         const int stage_index = r->stage;
         engine_.ScheduleAt(start + SimTime::FromSeconds(stage.sync_seconds),
@@ -708,15 +699,14 @@ DataParallelResult SimulateDataParallelBsp(const ModelProfile& profile,
   auto allreduce_seconds = [&](int64_t bytes) {
     double total = 0.0;
     for (int k = 1; k <= topology.num_levels(); ++k) {
+      const TopologyLevel& level = topology.level(k);
       const int below = topology.WorkersPerComponent(k - 1);
-      const int engaged = std::min(topology.level(k).fanout, (workers + below - 1) / below);
+      const int engaged = std::min(level.fanout, (workers + below - 1) / below);
       if (engaged <= 1) {
         continue;
       }
-      const double divisor =
-          topology.level(k).shared_bus ? 1.0 : static_cast<double>(engaged);
-      total += 2.0 * static_cast<double>(engaged - 1) / divisor * static_cast<double>(bytes) /
-               topology.level(k).effective_collective_bandwidth();
+      total += SyncWallSeconds(engaged, bytes, level.effective_collective_bandwidth(),
+                               level.shared_bus);
     }
     return total;
   };
@@ -726,14 +716,12 @@ DataParallelResult SimulateDataParallelBsp(const ModelProfile& profile,
   }
   double t = fwd_total;
   double comm_free = 0.0;
-  double total_weight_bytes = 0.0;
   for (int l = n - 1; l >= 0; --l) {
     const LayerProfile& layer = profile.layers[static_cast<size_t>(l)];
     t += layer.bwd_seconds;  // backward of layer l completes at time t
     if (layer.param_bytes == 0) {
       continue;
     }
-    total_weight_bytes += static_cast<double>(layer.param_bytes);
     const double chunk = allreduce_seconds(layer.param_bytes);
     const double start = std::max(t, comm_free);
     comm_free = start + chunk;
@@ -745,7 +733,7 @@ DataParallelResult SimulateDataParallelBsp(const ModelProfile& profile,
   result.throughput_samples_per_sec = static_cast<double>(workers) *
                                       static_cast<double>(profile.minibatch_size) / iteration;
   result.comm_bytes_per_sample =
-      2.0 * static_cast<double>(workers - 1) * total_weight_bytes /
+      RingAllReduceBytes(workers, profile.TotalParamBytes()) /
       (static_cast<double>(workers) * static_cast<double>(profile.minibatch_size));
   return result;
 }

@@ -160,7 +160,7 @@ TEST(CalibrationTest, MeasuredSpeedsShiftThePartition) {
 
   // Uniform (configured) speeds keep the balanced 4/4 cut.
   const PartitionResult uniform = PartitionHeterogeneous(
-      est, {WorkerSpec{1.0, 0}, WorkerSpec{1.0, 0}}, bandwidth, options);
+      est, {WorkerSpec{1.0}, WorkerSpec{1.0}}, bandwidth, options);
   ASSERT_EQ(uniform.plan.num_stages(), 2);
   EXPECT_EQ(uniform.plan.stage(0).end_layer, 4);
 

@@ -353,17 +353,17 @@ ModelProfile UniformComputeProfile(int layers, double fwd_seconds) {
 }
 
 TEST(PartitionerTest, HeterogeneousUniformSpeedsMatchesFlat) {
-  // With every speed equal, the heterogeneous DP must reduce to the flat DP (the uniform
-  // fast path literally delegates); a non-1.0 common speed just rescales the bottleneck.
+  // With every speed equal, the heterogeneous DP must reduce to the flat DP (both run the
+  // same prefix DP); a non-1.0 common speed just rescales the bottleneck.
   const auto profile = RandomProfile(10, 77);
   for (int workers = 2; workers <= 4; ++workers) {
     const auto flat = PartitionFlat(profile, workers, 1e9);
-    const std::vector<WorkerSpec> specs(workers, WorkerSpec{1.0, 0});
+    const std::vector<WorkerSpec> specs(workers, WorkerSpec{1.0});
     const auto het = PartitionHeterogeneous(profile, specs, 1e9);
     EXPECT_NEAR(het.bottleneck_seconds, flat.bottleneck_seconds,
                 1e-12 * flat.bottleneck_seconds)
         << workers << " workers";
-    const std::vector<WorkerSpec> half(workers, WorkerSpec{0.5, 0});
+    const std::vector<WorkerSpec> half(workers, WorkerSpec{0.5});
     const auto het_half = PartitionHeterogeneous(profile, half, 1e9);
     EXPECT_NEAR(het_half.bottleneck_seconds, 2.0 * flat.bottleneck_seconds,
                 1e-9 * flat.bottleneck_seconds);
@@ -375,7 +375,7 @@ TEST(PartitionerTest, SkewedClusterShiftsLayersOffSlowWorker) {
   // speed device holding 4 layers at 2x cost (effective 0.24 s); the heterogeneous DP
   // gives it a thin tail instead (e.g. {5,5,2} -> 0.15 s bottleneck).
   const auto profile = UniformComputeProfile(12, 0.010);
-  const std::vector<WorkerSpec> specs = {{1.0, 0}, {1.0, 0}, {0.5, 0}};
+  const std::vector<WorkerSpec> specs = {{1.0}, {1.0}, {0.5}};
   PartitionerOptions options;
   options.allow_replication = false;  // isolate the layer-placement effect
   const auto het = PartitionHeterogeneous(profile, specs, 1e12, options);
@@ -401,7 +401,7 @@ TEST(PartitionerTest, SkewedPredictionBeatsUniformPlan) {
   // The speed-aware predictor prices both plans on the same skewed cluster: the
   // heterogeneous plan's predicted throughput strictly beats the uniform plan's.
   const auto profile = UniformComputeProfile(12, 0.010);
-  const std::vector<WorkerSpec> specs = {{1.0, 0}, {1.0, 0}, {0.5, 0}};
+  const std::vector<WorkerSpec> specs = {{1.0}, {1.0}, {0.5}};
   PartitionerOptions options;
   options.allow_replication = false;
   const auto het = PartitionHeterogeneous(profile, specs, 1e12, options);
@@ -417,6 +417,47 @@ TEST(PartitionerTest, SkewedPredictionBeatsUniformPlan) {
   // Prediction and DP agree on the heterogeneous bottleneck.
   EXPECT_NEAR(het_pred.bottleneck_seconds, het.bottleneck_seconds,
               1e-9 + 0.01 * het.bottleneck_seconds);
+}
+
+TEST(PartitionerTest, PinsTable1Plans) {
+  // The optimizer's plans for the rows of bench/table1_speedups.cpp (EXPERIMENTS.md's
+  // Table 1): each row's config string and the first layer of every stage.
+  struct Row {
+    const char* model;
+    HardwareTopology topology;
+    DeviceSpec device;
+    const char* config;
+    std::vector<int> begin_layers;
+  };
+  const auto v100 = DeviceSpec::V100();
+  const Row rows[] = {
+      {"VGG-16", HardwareTopology::ClusterA(4), v100, "15-1", {0, 18}},
+      {"VGG-16", HardwareTopology::ClusterB(2), v100, "16", {0}},
+      {"ResNet-50", HardwareTopology::ClusterA(4), v100, "16", {0}},
+      {"ResNet-50", HardwareTopology::ClusterB(2), v100, "16", {0}},
+      {"AlexNet", HardwareTopology::ClusterA(4), v100, "12-1-2-1", {0, 8, 9, 10}},
+      {"AlexNet", HardwareTopology::ClusterB(2), v100, "14-1-1", {0, 8, 9}},
+      {"GNMT-16", HardwareTopology::ClusterA(1), v100, "1-2-1", {0, 6, 18}},
+      {"GNMT-16", HardwareTopology::ClusterA(4), v100, "1-3-2-2-2-2-1-3",
+       {0, 2, 6, 8, 12, 15, 18, 19}},
+      {"GNMT-16", HardwareTopology::ClusterB(2), v100, "8-8", {0, 13}},
+      {"GNMT-8", HardwareTopology::ClusterA(1), v100, "2-2", {0, 9}},
+      {"GNMT-8", HardwareTopology::ClusterA(3), v100, "1-3-1-3-1-3", {0, 1, 4, 7, 10, 11}},
+      {"GNMT-8", HardwareTopology::ClusterB(2), v100, "8-8", {0, 9}},
+      {"AWD-LM", HardwareTopology::ClusterA(1), v100, "4", {0}},
+      {"S2VT", HardwareTopology::ClusterC(4), DeviceSpec::TitanX(), "4", {0}},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(std::string(row.model) + " on " + row.topology.name());
+    const ModelProfile profile = MakeProfileByName(row.model, row.device);
+    const PartitionResult result = Partition(profile, row.topology);
+    EXPECT_EQ(result.plan.ConfigString(profile.num_layers()), row.config);
+    std::vector<int> begin_layers;
+    for (const StageAssignment& stage : result.plan.stages()) {
+      begin_layers.push_back(stage.begin_layer);
+    }
+    EXPECT_EQ(begin_layers, row.begin_layers);
+  }
 }
 
 TEST(PartitionerTest, RunsFastOnAllZooModels) {

@@ -97,7 +97,7 @@ TEST_F(ElasticTest, KillTriggersReplanMigrateResumeBitwise) {
   Rng rng(2);
   const auto model = BuildMlpClassifier(6, {16, 12, 8}, 3, &rng);  // 5 layers
   const auto profile = ComputeBoundProfile(static_cast<int>(model->size()));
-  const std::vector<WorkerSpec> cluster = {{1.0, 0}, {1.0, 0}, {1.0, 0}, {0.5, 0}};
+  const std::vector<WorkerSpec> cluster = {{1.0}, {1.0}, {1.0}, {0.5}};
 
   CheckpointManager manager(dir_.string());
   ElasticOptions options;
@@ -167,7 +167,7 @@ TEST_F(ElasticTest, JoinMovesStageBoundariesAndMigratesByLayerRange) {
   Rng rng(3);
   const auto model = BuildMlpClassifier(6, {16, 12, 8}, 3, &rng);  // 7 layers
   const auto profile = SyncBoundProfile(static_cast<int>(model->size()));
-  const std::vector<WorkerSpec> cluster = {{1.0, 0}, {1.0, 0}};
+  const std::vector<WorkerSpec> cluster = {{1.0}, {1.0}};
 
   CheckpointManager manager(dir_.string());
   ElasticOptions options;
@@ -180,7 +180,7 @@ TEST_F(ElasticTest, JoinMovesStageBoundariesAndMigratesByLayerRange) {
 
   elastic.TrainEpoch();
   elastic.TrainEpoch();
-  EXPECT_EQ(elastic.AddWorker({1.0, 0}), 2);
+  EXPECT_EQ(elastic.AddWorker({1.0}), 2);
   const EpochStats e2 = elastic.TrainEpoch();  // epoch 2: re-plan over 3 workers
   EXPECT_EQ(elastic.replans(), 1);
   EXPECT_EQ(elastic.live_workers(), 3);
@@ -214,7 +214,7 @@ TEST_F(ElasticTest, SecondKillDuringDegradedGenerationReplansAgain) {
   Rng rng(2);
   const auto model = BuildMlpClassifier(6, {16, 12, 8}, 3, &rng);
   const auto profile = ComputeBoundProfile(static_cast<int>(model->size()));
-  const std::vector<WorkerSpec> cluster = {{1.0, 0}, {1.0, 0}, {1.0, 0}, {0.5, 0}};
+  const std::vector<WorkerSpec> cluster = {{1.0}, {1.0}, {1.0}, {0.5}};
 
   CheckpointManager manager(dir_.string());
   ElasticOptions options;
@@ -284,7 +284,7 @@ TEST_F(ElasticTest, ReviveWorkerReturnsToFullStrength) {
   Rng rng(2);
   const auto model = BuildMlpClassifier(6, {16, 12, 8}, 3, &rng);
   const auto profile = ComputeBoundProfile(static_cast<int>(model->size()));
-  const std::vector<WorkerSpec> cluster = {{1.0, 0}, {1.0, 0}, {1.0, 0}, {0.5, 0}};
+  const std::vector<WorkerSpec> cluster = {{1.0}, {1.0}, {1.0}, {0.5}};
 
   CheckpointManager manager(dir_.string());
   ElasticOptions options;
@@ -366,10 +366,10 @@ TEST_F(ElasticTest, AddWorkerRejectsIncompatibleEpochGrid) {
   ElasticOptions options;
   options.recovery = FastRecovery();
   ElasticTrainer elastic(*model, profile, &loss, sgd, &data, 4, /*seed=*/5,
-                         {{1.0, 0}, {1.0, 0}}, &manager, options);
+                         {{1.0}, {1.0}}, &manager, options);
   EXPECT_EQ(elastic.epoch_length() % 2, 0);
   EXPECT_NE(elastic.epoch_length() % 6, 0);
-  EXPECT_DEATH(elastic.AddWorker({1.0, 0}), "cannot host");
+  EXPECT_DEATH(elastic.AddWorker({1.0}), "cannot host");
 }
 
 TEST_F(ElasticTest, RejectsEveryScheduleButOneFOneBAtConstruction) {
@@ -391,7 +391,7 @@ TEST_F(ElasticTest, RejectsEveryScheduleButOneFOneBAtConstruction) {
     options.trainer.gpipe_microbatches = 4;
     options.trainer.interleave_chunks = 2;
     EXPECT_DEATH(ElasticTrainer(*model, profile, &loss, sgd, &data, 4, /*seed=*/5,
-                                {{1.0, 0}, {1.0, 0}, {1.0, 0}}, &manager, options),
+                                {{1.0}, {1.0}, {1.0}}, &manager, options),
                  std::string("elastic re-planning requires a 1F1B schedule, not ") +
                      ScheduleKindName(kind));
   }

@@ -100,6 +100,49 @@ TEST(FaultPlanTest, RandomIsDeterministicPerSeed) {
   }
 }
 
+TEST(FaultPlanTest, RandomDrawsMessageFaultsOnlyOnSendingEdges) {
+  // A message fault fires only if the plan sends that message: the last stage sends no
+  // forward and stage 0 no backward, so a one-stage plan sends nothing at all.
+  for (int num_stages = 1; num_stages <= 4; ++num_stages) {
+    std::vector<int> cuts;
+    std::vector<std::pair<int, int>> shape;
+    for (int s = 0; s < num_stages; ++s) {
+      if (s > 0) {
+        cuts.push_back(s);
+      }
+      shape.push_back({1, 2 - s % 2});  // replicas 2, 1, 2, 1
+    }
+    for (const PipelinePlan& plan :
+         {MakeStraightPlan(num_stages, cuts), MakePlanFromShape(shape)}) {
+      int message_faults = 0;
+      int misplaced = 0;
+      std::string first_misplaced;
+      for (uint64_t seed = 0; seed < 1000; ++seed) {
+        for (const FaultEvent& e : FaultPlan::Random(seed, plan, 100, /*num_faults=*/3).events) {
+          ASSERT_LT(e.stage, num_stages);
+          ASSERT_LT(e.replica, plan.stage(e.stage).replicas);
+          if (e.kind == FaultKind::kKillWorker || e.kind == FaultKind::kStallWorker) {
+            continue;
+          }
+          ++message_faults;
+          const bool sends = e.work == WorkType::kForward ? e.stage + 1 < num_stages
+                                                          : e.stage > 0;
+          if (!sends && misplaced++ == 0) {
+            first_misplaced = e.ToString();
+          }
+        }
+      }
+      EXPECT_EQ(misplaced, 0) << num_stages << " stages, "
+                              << plan.ConfigString(num_stages) << ": first " << first_misplaced;
+      if (num_stages == 1) {
+        EXPECT_EQ(message_faults, 0);
+      } else {
+        EXPECT_GT(message_faults, 0);
+      }
+    }
+  }
+}
+
 TEST_F(FaultInjectionTest, KilledWorkerRecoversBitwise) {
   // Kill stage 1 mid-epoch-1. Recovery restores the epoch-0 checkpoint and replays; with a
   // stateless optimizer the final weights match an uninterrupted run bit-for-bit.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/planner/partitioner.h"
+#include "src/planner/predictor.h"
 #include "src/profile/model_zoo.h"
 #include "src/simexec/pipeline_sim.h"
 
@@ -367,6 +368,60 @@ TEST(PipelineSimTest, GPipeRecomputeCostsThroughputSavesMemory) {
     recompute_mem = std::max(recompute_mem, recompute.worker_peak_memory[w]);
   }
   EXPECT_LT(recompute_mem, stash_mem);
+}
+
+TEST(PipelineSimTest, DataParallelThroughputMatchesPrediction) {
+  // The predictor and the simulator price a replicated stage's sync with one cost model
+  // (src/planner/cost_model.h). While the all_reduce hides under compute, the simulated
+  // steady state is the predicted m / compute rate. The m replicas finish in lockstep, so
+  // the run length makes the back-half window start on a whole round for every m here.
+  SimOptions options;
+  options.num_minibatches = 256;
+  const HardwareTopology topologies[] = {
+      HardwareTopology::Flat(8, 1.25e9), HardwareTopology::Flat(8, 1e10),
+      HardwareTopology::ClusterA(1),     HardwareTopology::ClusterA(2),
+      HardwareTopology::ClusterB(2)};
+  int checked = 0;
+  for (const HardwareTopology& topology : topologies) {
+    for (const std::string& name : ModelZooNames()) {
+      const ModelProfile profile = MakeProfileByName(name);
+      for (const int workers : {2, 4, 8, 16}) {
+        if (workers > topology.num_workers()) {
+          continue;
+        }
+        const PipelinePlan plan = MakeDataParallelPlan(profile.num_layers(), workers);
+        const PlanPrediction predicted = PredictPlan(profile, plan, topology);
+        if (predicted.stages[0].sync_seconds >= predicted.stages[0].compute_seconds) {
+          continue;
+        }
+        const SimResult simulated = SimulatePipeline(profile, plan, topology, options);
+        EXPECT_NEAR(simulated.throughput_samples_per_sec / predicted.throughput_samples_per_sec,
+                    1.0, 1e-6)
+            << name << " x" << workers << " on " << topology.name();
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 20);
+}
+
+TEST(PipelineSimTest, StraightPipelineThroughputMatchesPrediction) {
+  // On free links a balanced straight 1F1B pipeline runs at its slowest stage, the rate the
+  // predictor prices; over 1,024 minibatches the fill and drain cost well under 1%.
+  const auto topology = HardwareTopology::Flat(8, 1e15, 0.0);
+  SimOptions options;
+  options.num_minibatches = 1024;
+  for (const std::string& name : ModelZooNames()) {
+    const ModelProfile profile = MakeProfileByName(name);
+    for (int stages = 2; stages <= std::min(8, profile.num_layers()); ++stages) {
+      const PipelinePlan plan = MakeBalancedStraightPlan(profile, stages);
+      const PlanPrediction predicted = PredictPlan(profile, plan, topology);
+      const SimResult simulated = SimulatePipeline(profile, plan, topology, options);
+      EXPECT_NEAR(simulated.throughput_samples_per_sec / predicted.throughput_samples_per_sec,
+                  1.0, 0.01)
+          << name << " in " << stages << " stages";
+    }
+  }
 }
 
 }  // namespace
