@@ -83,10 +83,21 @@ DpTables SolveLevel(const ModelProfile& profile,
     const int64_t activations = profile.ActivationBytes(i, j + 1);
     return 3 * weights + activations <= options.device_memory_bytes;
   };
+  // Each layer range's compute and fit test, evaluated once: the recurrence below asks for
+  // a range once per worker count and split.
+  std::vector<double> range_compute(static_cast<size_t>(n) * n, kInf);
+  std::vector<char> range_fits(static_cast<size_t>(n) * n, 0);
+  auto range_index = [n](int i, int j) { return static_cast<size_t>(i) * n + j; };
+  for (int i = 0; i < n; ++i) {
+    for (int j = i; j < n; ++j) {
+      range_compute[range_index(i, j)] = substrate(i, j);
+      range_fits[range_index(i, j)] = stage_fits(i, j);
+    }
+  }
   // Single-stage (possibly replicated) time per the T^k formula.
   auto stage_time = [&](int i, int j, int m) -> double {
-    const double compute = substrate(i, j);
-    if (compute == kInf || !stage_fits(i, j)) {
+    const double compute = range_compute[range_index(i, j)];
+    if (compute == kInf || !range_fits[range_index(i, j)]) {
       return kInf;
     }
     if (m == 1) {
@@ -224,48 +235,72 @@ HetSolution SolveHeterogeneousOrdered(const ModelProfile& profile,
     }
   }
 
-  // Stage over layers [i..j] replicated across the worker block [a, b) of the order. Stages
-  // that cannot fit even one in-flight minibatch (weights + gradients + one weight stash +
-  // one activation stash) are rejected, as in SolveLevel.
-  auto stage_time = [&](int i, int j, int a, int b) -> double {
-    const int m = b - a;
-    const double compute =
-        profile.ComputeSeconds(i, j + 1) / min_speed[block_index(a, b)];
-    const int64_t weights = profile.ParamBytes(i, j + 1);
-    if (options.device_memory_bytes > 0 &&
-        3 * weights + profile.ActivationBytes(i, j + 1) > options.device_memory_bytes) {
+  // A layer range's sums, which every worker block hosting it shares. Stages that cannot fit
+  // even one in-flight minibatch (weights + gradients + one weight stash + one activation
+  // stash) are rejected, as in SolveLevel.
+  struct RangeSums {
+    double compute = 0.0;
+    int64_t weights = 0;
+    bool fits = true;
+  };
+  auto range_sums = [&](int i, int j) {
+    RangeSums range;
+    range.compute = profile.ComputeSeconds(i, j + 1);
+    range.weights = profile.ParamBytes(i, j + 1);
+    range.fits = options.device_memory_bytes <= 0 ||
+                 3 * range.weights + profile.ActivationBytes(i, j + 1) <=
+                     options.device_memory_bytes;
+    return range;
+  };
+  // Stage over a layer range replicated across the worker block [a, b) of the order.
+  auto stage_time = [&](const RangeSums& range, int a, int b) -> double {
+    if (!range.fits) {
       return kInf;
     }
+    const int m = b - a;
+    const double compute = range.compute / min_speed[block_index(a, b)];
     if (m == 1) {
       return compute;
     }
     if (!options.allow_replication) {
       return kInf;
     }
-    const double sync = SyncWallSeconds(m, weights, coll_bw, options.collective_shared_bus);
+    const double sync =
+        SyncWallSeconds(m, range.weights, coll_bw, options.collective_shared_bus);
     return std::max(compute, sync) / static_cast<double>(m);
   };
+  std::vector<double> boundary(static_cast<size_t>(n));
+  for (int s = 0; s < n; ++s) {
+    boundary[static_cast<size_t>(s)] =
+        BoundaryRoundTripSeconds(profile.BoundaryActivationBytes(s), p2p_bw);
+  }
 
   std::vector<double> best(static_cast<size_t>(n) * (w + 1), kInf);
   std::vector<HetChoice> choice(static_cast<size_t>(n) * (w + 1));
   auto dp_index = [w](int j, int c) { return static_cast<size_t>(j) * (w + 1) + c; };
+  // ending_at_j[i]: the sums of layers [i..j], computed once per (i, j) rather than once per
+  // worker block.
+  std::vector<RangeSums> ending_at_j(static_cast<size_t>(n));
   for (int j = 0; j < n; ++j) {
+    for (int i = 0; i <= j; ++i) {
+      ending_at_j[static_cast<size_t>(i)] = range_sums(i, j);
+    }
     for (int c = 1; c <= w; ++c) {
-      double b = stage_time(0, j, 0, c);
+      double b = stage_time(ending_at_j[0], 0, c);
       HetChoice ch;
       for (int s = 0; s < j; ++s) {
-        const double boundary =
-            BoundaryRoundTripSeconds(profile.BoundaryActivationBytes(s), p2p_bw);
+        const RangeSums& right_range = ending_at_j[static_cast<size_t>(s) + 1];
         for (int mp = 1; mp < c; ++mp) {
           const double left = best[dp_index(s, c - mp)];
           if (left >= kInf) {
             continue;
           }
-          const double right = stage_time(s + 1, j, c - mp, c);
+          const double right = stage_time(right_range, c - mp, c);
           if (right >= kInf) {
             continue;
           }
-          const double candidate = std::max({left, boundary, right});
+          const double candidate =
+              std::max({left, boundary[static_cast<size_t>(s)], right});
           if (candidate < b) {
             b = candidate;
             ch.split = s;

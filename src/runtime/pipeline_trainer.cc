@@ -38,6 +38,17 @@ Tensor FlattenTargets(const Tensor& targets) {
 
 int64_t Lcm(int64_t a, int64_t b) { return a / std::gcd(a, b) * b; }
 
+// Receive side of the message checksum: a payload that no longer matches its sender's stamp
+// fails the epoch attempt before any of it is used.
+void VerifyReceived(const PipeMessage& message, int stage) {
+  if (!VerifyChecksum(message)) {
+    throw MessageCorruptionError{
+        StrFormat("%s payload for minibatch %lld failed its checksum at stage %d",
+                  WorkTypeName(message.type), static_cast<long long>(message.minibatch),
+                  stage)};
+  }
+}
+
 // Times a scope into a registry histogram (seconds). Unlike ScopedSpan this is always on —
 // the metrics registry is the runtime's permanent record, not an opt-in trace. When a
 // straggler detector is attached the same duration also feeds its per-stage baseline.
@@ -335,6 +346,9 @@ void PipelineTrainer::StageRuntime::PrepareEpoch(int64_t begin, int64_t end) {
 void PipelineTrainer::StageRuntime::DoForward(int64_t minibatch, PipeMessage message) {
   ScopedHistTimer fwd_timer(fwd_hist, trainer->straggler_.get(), stage);
   PD_TRACE_SPAN("fwd", stage, minibatch);
+  if (!is_input) {  // the input stage's forwards come from the loader, unstamped
+    VerifyReceived(message, stage);
+  }
   // Causal flow: one "mb" chain per minibatch, started at the input stage's forward and
   // threaded through every later hop. Recorded inside the fwd span so Perfetto binds the
   // arrow to the enclosing slice.
@@ -391,6 +405,7 @@ void PipelineTrainer::StageRuntime::DoBackward(PipeMessage message) {
   const int64_t minibatch = message.minibatch;
   ScopedHistTimer bwd_timer(bwd_hist, trainer->straggler_.get(), stage);
   PD_TRACE_SPAN("bwd", stage, minibatch);
+  VerifyReceived(message, stage);
   // The causal chain ends where the gradient comes home: stage 0's backward.
   const int64_t flow = message.trace_id >= 0 ? message.trace_id : minibatch;
   if (stage == 0) {
@@ -566,12 +581,7 @@ void PipelineTrainer::RunWorker(const WorkerProgram& program,
       std::optional<PipeMessage> taken = rt->mailbox->Take(type);
       PD_CHECK(taken.has_value());
       PD_CHECK_EQ(taken->minibatch, instr.minibatch);
-      if (!VerifyChecksum(*taken)) {
-        throw MessageCorruptionError{
-            StrFormat("%s payload for minibatch %lld failed its checksum at stage %d",
-                      WorkTypeName(type), static_cast<long long>(instr.minibatch), rt->stage)};
-      }
-      message = std::move(*taken);
+      message = std::move(*taken);  // DoForward/DoBackward verify its checksum
     }
     if (type == WorkType::kForward) {
       rt->DoForward(instr.minibatch, std::move(message));

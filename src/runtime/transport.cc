@@ -36,6 +36,14 @@ void AppendPod(std::vector<uint8_t>* out, T value) {
   std::memcpy(out->data() + at, &value, sizeof(T));
 }
 
+size_t TensorWireBytes(const Tensor& t) {
+  if (t.numel() == 0) {
+    return sizeof(uint32_t);
+  }
+  return sizeof(uint32_t) + static_cast<size_t>(t.rank()) * sizeof(int64_t) +
+         static_cast<size_t>(t.SizeBytes());
+}
+
 void AppendTensor(std::vector<uint8_t>* out, const Tensor& t) {
   if (t.numel() == 0) {
     AppendPod<uint32_t>(out, kEmptyTensorRank);
@@ -45,10 +53,27 @@ void AppendTensor(std::vector<uint8_t>* out, const Tensor& t) {
   for (int64_t d : t.shape()) {
     AppendPod<int64_t>(out, d);
   }
-  const size_t at = out->size();
-  const size_t bytes = static_cast<size_t>(t.SizeBytes());
-  out->resize(at + bytes);
-  std::memcpy(out->data() + at, t.data(), bytes);
+  const auto* data = reinterpret_cast<const uint8_t*>(t.data());
+  out->insert(out->end(), data, data + t.SizeBytes());
+}
+
+// version, type, minibatch, input_version, trace_id, checksum.
+constexpr size_t kBodyHeaderBytes = 2 * sizeof(uint8_t) + 3 * sizeof(int64_t) + sizeof(uint32_t);
+
+// Exactly the bytes AppendBody writes for `message`.
+size_t BodyBytes(const PipeMessage& message) {
+  return kBodyHeaderBytes + TensorWireBytes(message.payload) + TensorWireBytes(message.targets);
+}
+
+void AppendBody(const PipeMessage& message, std::vector<uint8_t>* out) {
+  AppendPod<uint8_t>(out, kBodyVersion);
+  AppendPod<uint8_t>(out, message.type == WorkType::kForward ? 0 : 1);
+  AppendPod<int64_t>(out, message.minibatch);
+  AppendPod<int64_t>(out, message.input_version);
+  AppendPod<int64_t>(out, message.trace_id);
+  AppendPod<uint32_t>(out, message.checksum);
+  AppendTensor(out, message.payload);
+  AppendTensor(out, message.targets);
 }
 
 // Bounds-checked sequential reader over a serialized body.
@@ -116,16 +141,8 @@ const char* TransportKindName(TransportKind kind) {
 
 std::vector<uint8_t> SerializeMessage(const PipeMessage& message) {
   std::vector<uint8_t> body;
-  body.reserve(32 + static_cast<size_t>(message.payload.SizeBytes()) +
-               static_cast<size_t>(message.targets.SizeBytes()));
-  AppendPod<uint8_t>(&body, kBodyVersion);
-  AppendPod<uint8_t>(&body, message.type == WorkType::kForward ? 0 : 1);
-  AppendPod<int64_t>(&body, message.minibatch);
-  AppendPod<int64_t>(&body, message.input_version);
-  AppendPod<int64_t>(&body, message.trace_id);
-  AppendPod<uint32_t>(&body, message.checksum);
-  AppendTensor(&body, message.payload);
-  AppendTensor(&body, message.targets);
+  body.reserve(BodyBytes(message));
+  AppendBody(message, &body);
   return body;
 }
 
@@ -154,12 +171,15 @@ Result<PipeMessage> DeserializeMessage(const uint8_t* data, size_t size) {
   return message;
 }
 
-void AppendFrame(const std::vector<uint8_t>& body, std::vector<uint8_t>* out) {
-  PD_CHECK_LE(body.size(), static_cast<size_t>(kMaxBodyBytes));
+void AppendFrame(const PipeMessage& message, std::vector<uint8_t>* out) {
+  const size_t body_bytes = BodyBytes(message);
+  PD_CHECK_LE(body_bytes, static_cast<size_t>(kMaxBodyBytes));
+  out->reserve(out->size() + kFrameHeaderBytes + body_bytes + kFrameTrailerBytes);
   AppendPod<uint32_t>(out, kFrameMagic);
-  AppendPod<uint32_t>(out, static_cast<uint32_t>(body.size()));
-  out->insert(out->end(), body.begin(), body.end());
-  AppendPod<uint32_t>(out, Crc32(body.data(), body.size()));
+  AppendPod<uint32_t>(out, static_cast<uint32_t>(body_bytes));
+  const size_t body_at = out->size();
+  AppendBody(message, out);
+  AppendPod<uint32_t>(out, Crc32(out->data() + body_at, body_bytes));
 }
 
 void FrameDecoder::Resync(size_t from) {
@@ -310,9 +330,7 @@ class SocketTransport : public MessageTransport {
     Endpoint* ep = it->second.get();
 
     std::vector<uint8_t> wire;
-    const std::vector<uint8_t> body = SerializeMessage(message);
-    wire.reserve(body.size() + kFrameHeaderBytes + kFrameTrailerBytes);
-    AppendFrame(body, &wire);
+    AppendFrame(message, &wire);
 
     std::lock_guard<std::mutex> lock(ep->send_mutex);
     if (ep->send_fd < 0) {

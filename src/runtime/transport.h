@@ -101,8 +101,9 @@ std::vector<uint8_t> SerializeMessage(const PipeMessage& message);
 // malformed input — a CRC-valid frame can still carry garbage under fuzzing.
 Result<PipeMessage> DeserializeMessage(const uint8_t* data, size_t size);
 
-// Wraps a body in the frame header/trailer and appends it to `out`.
-void AppendFrame(const std::vector<uint8_t>& body, std::vector<uint8_t>* out);
+// Appends `message`'s whole frame (header, the body SerializeMessage would produce, body
+// CRC) to `out`, growing it once to exactly the frame's size.
+void AppendFrame(const PipeMessage& message, std::vector<uint8_t>* out);
 
 // Incremental frame reassembler: feed arbitrary byte-stream fragments, get back the bodies
 // of every complete, CRC-valid frame. Torn or corrupt frames are dropped and counted; the

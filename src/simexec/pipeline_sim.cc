@@ -583,16 +583,22 @@ SimResult PipelineSimulation::Run() {
   }
   result.total_seconds = end.ToSeconds();
 
-  // Steady-state throughput over the back half of the run (skips pipeline fill).
+  // Steady-state throughput over the back half of the run (skips pipeline fill): the
+  // completions in [opens, closes), over closes - opens. Replicas that finish in lockstep
+  // tie, and counting at one end only spans whole rounds: the round the window opens on,
+  // not the last one, which is partial when the replica count does not divide the run.
   const size_t n = completion_times_.size();
   if (n >= 4) {
-    const size_t half = n / 2;
-    const double window =
-        (completion_times_[n - 1] - completion_times_[half - 1]).ToSeconds();
+    const SimTime opens = completion_times_[n / 2 - 1];
+    const SimTime closes = completion_times_[n - 1];
+    const double window = (closes - opens).ToSeconds();
+    const auto first =
+        std::lower_bound(completion_times_.begin(), completion_times_.end(), opens);
+    const auto last = std::lower_bound(first, completion_times_.end(), closes);
+    const auto completed = static_cast<double>(last - first);
     if (window > 0.0) {
-      result.throughput_samples_per_sec = static_cast<double>(n - half) *
-                                          static_cast<double>(profile_.minibatch_size) /
-                                          window;
+      result.throughput_samples_per_sec =
+          completed * static_cast<double>(profile_.minibatch_size) / window;
     }
   }
   if (result.throughput_samples_per_sec == 0.0 && result.total_seconds > 0.0) {

@@ -77,7 +77,7 @@ void ExpectMessagesEqual(const PipeMessage& got, const PipeMessage& want) {
 std::vector<uint8_t> FrameAll(const std::vector<PipeMessage>& messages) {
   std::vector<uint8_t> stream;
   for (const PipeMessage& m : messages) {
-    AppendFrame(SerializeMessage(m), &stream);
+    AppendFrame(m, &stream);
   }
   return stream;
 }
@@ -91,6 +91,46 @@ TEST(MessageSerializationTest, RoundTripIsExact) {
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     ExpectMessagesEqual(*decoded, original);
   }
+}
+
+TEST(MessageSerializationTest, FrameBytesArePinned) {
+  // One small forward message's complete PDM1 frame, byte for byte: magic, body length,
+  // the v2 body (version, type, minibatch, input_version, trace_id, checksum, payload
+  // [2, 3], targets [2]) and the body CRC. Any change to the encoder or to Crc32 that moves
+  // a wire byte fails here.
+  PipeMessage m;
+  m.minibatch = 7;
+  m.type = WorkType::kForward;
+  m.payload = Tensor({2, 3});
+  for (int64_t i = 0; i < 6; ++i) {
+    m.payload.data()[i] = 0.5f * static_cast<float>(i) - 1.0f;
+  }
+  m.targets = Tensor({2});
+  m.targets.data()[0] = 1.0f;
+  m.targets.data()[1] = 3.0f;
+  m.input_version = 4;
+  m.trace_id = 7;
+  StampChecksum(&m);
+  std::vector<uint8_t> frame;
+  AppendFrame(m, &frame);
+  std::string hex;
+  for (const uint8_t b : frame) {
+    static const char kDigits[] = "0123456789abcdef";
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 0xF];
+  }
+  EXPECT_EQ(hex,
+            "50444d31" "5e000000"                                  // magic, body length 94
+            "02" "00" "0700000000000000" "0400000000000000"        // version, type, mb, iv
+            "0700000000000000" "b746c2a1"                          // trace_id, checksum
+            "02000000" "0200000000000000" "0300000000000000"       // payload rank, dims
+            "000080bf" "000000bf" "00000000" "0000003f" "0000803f" "0000c03f"
+            "01000000" "0200000000000000" "0000803f" "00004040"    // targets
+            "ba8afbf1");                                           // body CRC
+  EXPECT_EQ(frame.capacity(), frame.size());
+  const std::vector<uint8_t> body = SerializeMessage(m);
+  EXPECT_EQ(body.capacity(), body.size());
+  EXPECT_TRUE(std::equal(body.begin(), body.end(), frame.begin() + 8, frame.end() - 4));
 }
 
 TEST(MessageSerializationTest, TruncatedBodiesErrorCleanly) {

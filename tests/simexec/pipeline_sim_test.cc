@@ -374,35 +374,40 @@ TEST(PipelineSimTest, DataParallelThroughputMatchesPrediction) {
   // The predictor and the simulator price a replicated stage's sync with one cost model
   // (src/planner/cost_model.h). While the all_reduce hides under compute, the simulated
   // steady state is the predicted m / compute rate. The m replicas finish in lockstep, so
-  // the run length makes the back-half window start on a whole round for every m here.
-  SimOptions options;
-  options.num_minibatches = 256;
+  // the steady-state window must count whole rounds: at the default 200 minibatches it opens
+  // mid-round for m = 8 and 16, and m = 16 ends on a partial round; 256 does neither.
   const HardwareTopology topologies[] = {
       HardwareTopology::Flat(8, 1.25e9), HardwareTopology::Flat(8, 1e10),
       HardwareTopology::ClusterA(1),     HardwareTopology::ClusterA(2),
       HardwareTopology::ClusterB(2)};
-  int checked = 0;
-  for (const HardwareTopology& topology : topologies) {
-    for (const std::string& name : ModelZooNames()) {
-      const ModelProfile profile = MakeProfileByName(name);
-      for (const int workers : {2, 4, 8, 16}) {
-        if (workers > topology.num_workers()) {
-          continue;
+  for (const int64_t minibatches : {SimOptions{}.num_minibatches, int64_t{256}}) {
+    SimOptions options;
+    options.num_minibatches = minibatches;
+    int checked = 0;
+    for (const HardwareTopology& topology : topologies) {
+      for (const std::string& name : ModelZooNames()) {
+        const ModelProfile profile = MakeProfileByName(name);
+        for (const int workers : {2, 4, 8, 16}) {
+          if (workers > topology.num_workers()) {
+            continue;
+          }
+          const PipelinePlan plan = MakeDataParallelPlan(profile.num_layers(), workers);
+          const PlanPrediction predicted = PredictPlan(profile, plan, topology);
+          if (predicted.stages[0].sync_seconds >= predicted.stages[0].compute_seconds) {
+            continue;
+          }
+          const SimResult simulated = SimulatePipeline(profile, plan, topology, options);
+          EXPECT_NEAR(
+              simulated.throughput_samples_per_sec / predicted.throughput_samples_per_sec, 1.0,
+              1e-6)
+              << name << " x" << workers << " on " << topology.name() << ", " << minibatches
+              << " minibatches";
+          ++checked;
         }
-        const PipelinePlan plan = MakeDataParallelPlan(profile.num_layers(), workers);
-        const PlanPrediction predicted = PredictPlan(profile, plan, topology);
-        if (predicted.stages[0].sync_seconds >= predicted.stages[0].compute_seconds) {
-          continue;
-        }
-        const SimResult simulated = SimulatePipeline(profile, plan, topology, options);
-        EXPECT_NEAR(simulated.throughput_samples_per_sec / predicted.throughput_samples_per_sec,
-                    1.0, 1e-6)
-            << name << " x" << workers << " on " << topology.name();
-        ++checked;
       }
     }
+    EXPECT_GT(checked, 20);
   }
-  EXPECT_GT(checked, 20);
 }
 
 TEST(PipelineSimTest, StraightPipelineThroughputMatchesPrediction) {
