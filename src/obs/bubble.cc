@@ -43,11 +43,11 @@ BubbleAccountant::BubbleAccountant(int num_stages) : stages_(num_stages) {
       const char* cause = StallCauseName(static_cast<StallCause>(c));
       cell.total_ns[static_cast<size_t>(c)] =
           GetCounter(StrFormat("runtime/stage%d/bubble/%s_ns", s, cause));
-      auto value = std::make_shared<double>(0.0);
+      auto value = std::make_shared<std::atomic<double>>(0.0);
       cell.fraction[static_cast<size_t>(c)] = value;
       MetricsRegistry::Get().SetCallback(
           StrFormat("runtime/stage%d/bubble_frac/%s", s, cause),
-          [value] { return *value; });
+          [value] { return value->load(std::memory_order_relaxed); });
     }
   }
 }
@@ -76,8 +76,9 @@ void BubbleAccountant::FinishWindow(int stage, double window_seconds) {
   for (int c = 0; c < kNumStallCauses; ++c) {
     const int64_t ns = cell.window_ns[static_cast<size_t>(c)].exchange(
         0, std::memory_order_relaxed);
-    *cell.fraction[static_cast<size_t>(c)] =
-        window_seconds > 0 ? static_cast<double>(ns) * 1e-9 / window_seconds : 0.0;
+    cell.fraction[static_cast<size_t>(c)]->store(
+        window_seconds > 0 ? static_cast<double>(ns) * 1e-9 / window_seconds : 0.0,
+        std::memory_order_relaxed);
   }
 }
 

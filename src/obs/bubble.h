@@ -80,8 +80,9 @@ class BubbleAccountant {
     std::array<std::atomic<int64_t>, kNumStallCauses> window_ns{};
     std::array<Counter*, kNumStallCauses> total_ns{};
     // Callback-gauge cells: the registry reads these lazily at dump time (the
-    // gen_throughput_ pattern), so a fraction survives registry Reset() brackets.
-    std::array<std::shared_ptr<double>, kNumStallCauses> fraction{};
+    // gen_throughput_ pattern) from the thread that serves /metrics, so a fraction survives
+    // registry Reset() brackets; atomic because that read races the window's close.
+    std::array<std::shared_ptr<std::atomic<double>>, kNumStallCauses> fraction{};
   };
   std::vector<StageCell> stages_;
 };

@@ -14,8 +14,8 @@
 //
 // The wire protocol deliberately deviates from the PDM1 framing the stage transport uses:
 // health consumers are *external* (curl, Prometheus), and speaking plain HTTP over the
-// Unix socket means zero custom client code. The listener machinery (socket lifecycle,
-// poll-driven loop, stop discipline) mirrors SocketTransport's receiver threads.
+// Unix socket means zero custom client code. The listener is one poll-driven thread that
+// accepts connections and answers each in turn until Stop().
 //
 // Arming: PIPEDREAM_HEALTH_SOCK=/path/to.sock starts a process-wide server (the runtime
 // calls StartHealthServerFromEnv() from its constructors; stale socket files are

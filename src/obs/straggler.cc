@@ -17,10 +17,11 @@ StragglerDetector::StragglerDetector(int num_stages, Options options) : options_
   stages_.reserve(static_cast<size_t>(num_stages));
   for (int s = 0; s < num_stages; ++s) {
     auto state = std::make_unique<StageState>();
-    state->cell = std::make_shared<double>(0.0);
-    const std::shared_ptr<double> cell = state->cell;
-    MetricsRegistry::Get().SetCallback(StrFormat("obs/straggler_score/stage%d", s),
-                                       [cell] { return *cell; });
+    state->cell = std::make_shared<std::atomic<double>>(0.0);
+    const std::shared_ptr<std::atomic<double>> cell = state->cell;
+    MetricsRegistry::Get().SetCallback(StrFormat("obs/straggler_score/stage%d", s), [cell] {
+      return cell->load(std::memory_order_relaxed);
+    });
     stages_.push_back(std::move(state));
   }
 }
@@ -43,7 +44,7 @@ void StragglerDetector::Observe(int stage, double seconds) {
     const double z = (seconds - st.mean) / std::sqrt(st.var);
     const double positive = std::max(z, 0.0);
     st.score += options_.score_alpha * (positive - st.score);
-    *st.cell = st.score;
+    st.cell->store(st.score, std::memory_order_relaxed);
   }
   // West's EWMA update for mean and variance.
   const double diff = seconds - st.mean;

@@ -18,6 +18,7 @@
 #ifndef SRC_OBS_STRAGGLER_H_
 #define SRC_OBS_STRAGGLER_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -56,7 +57,9 @@ class StragglerDetector {
     double mean = 0.0;
     double var = 0.0;
     double score = 0.0;
-    std::shared_ptr<double> cell;  // read by the obs/straggler_score/stage<N> callback
+    // Read by the obs/straggler_score/stage<N> callback on the thread that serves
+    // /metrics, without this stage's mutex.
+    std::shared_ptr<std::atomic<double>> cell;
   };
 
   Options options_;

@@ -9,6 +9,15 @@
 // change to external state the owner's wait predicate consults, signalled via Poke()) bumps
 // a change counter under the mailbox mutex. WaitUntil re-evaluates its predicate whenever
 // the counter moves, so wakeups cannot be lost between a predicate check and the sleep.
+//
+// A mailbox fed by a byte stream (the socket transport's endpoints, see MailboxSource) has
+// no thread that fills it. Whoever waits on it reads the stream: it claims the mailbox's one
+// read turn, reads what bytes are there, delivers every complete frame, and re-checks its
+// predicate; only when the stream is empty does it block, in poll() on the stream and a
+// wake fd rather than on the condvar. So a hop to an idle worker costs one wakeup and a
+// hop to a busy one costs none. A second waiter sleeps on the condvar; every turn ends with
+// a notify, so it re-checks and can take over. Poke() also writes the wake fd while a turn
+// is held, which is what lets aborts and stop flags reach a reader blocked in poll().
 #ifndef SRC_RUNTIME_MAILBOX_H_
 #define SRC_RUNTIME_MAILBOX_H_
 
@@ -70,9 +79,44 @@ inline void StampChecksum(PipeMessage* m) { m->checksum = MessageChecksum(*m); }
 
 inline bool VerifyChecksum(const PipeMessage& m) { return m.checksum == MessageChecksum(m); }
 
+class Mailbox;
+
+using WaitDeadline = std::chrono::steady_clock::time_point;
+
+// The byte stream behind a socket-fed mailbox. Its methods run only on the thread that holds
+// the mailbox's read turn, except Wake().
+class MailboxSource {
+ public:
+  enum class ReadResult {
+    kRead,    // bytes arrived; every complete frame among them is in the inbox
+    kEmpty,   // nothing was waiting
+    kClosed,  // the stream ended (or failed); the source is spent
+  };
+
+  virtual ~MailboxSource() = default;
+
+  // Reads whatever bytes are waiting, without blocking, and delivers each complete frame
+  // into `inbox`.
+  virtual ReadResult Read(Mailbox* inbox) = 0;
+
+  // Blocks until bytes arrive, Wake() is called, or `deadline` passes (null: no deadline).
+  virtual void Await(const WaitDeadline* deadline) = 0;
+
+  // Cuts a concurrent Await() short. Called with the mailbox mutex held.
+  virtual void Wake() = 0;
+};
+
 class Mailbox {
  public:
-  // Delivers a message (called from other workers' threads).
+  // Makes `source` this mailbox's feed: from now on waiters read it (see the header
+  // comment). Call before any thread uses the mailbox; `source` must outlive its reads.
+  void SetSource(MailboxSource* source) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    source_ = source;
+  }
+
+  // Delivers a message: called by senders' threads in-proc, and on a socket-fed mailbox by
+  // the thread reading its stream.
   void Deliver(PipeMessage message) {
     PD_TRACE_INSTANT(message.type == WorkType::kForward ? "send_fwd" : "send_bwd", -1,
                      message.minibatch);
@@ -95,7 +139,7 @@ class Mailbox {
   void Poke() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      ++change_count_;
+      NoteChangeLocked();
     }
     cv_.notify_one();
   }
@@ -107,9 +151,22 @@ class Mailbox {
       std::lock_guard<std::mutex> lock(mutex_);
       forward_.clear();
       backward_.clear();
-      ++change_count_;
+      NoteChangeLocked();
     }
     cv_.notify_one();
+  }
+
+  // For a sender blocked on this mailbox's full stream: reads the stream once, delivering
+  // what it holds, unless another thread is reading it. Returns false when another thread
+  // is (that reader makes the room) or the mailbox has no source.
+  bool ReadIfIdle() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (source_ == nullptr || reading_) {
+      return false;
+    }
+    ReadTurn turn(this, &lock);
+    turn.Read(nullptr, /*await=*/false);
+    return true;
   }
 
   // Removes and returns the lowest-minibatch-id message of the given type, if any.
@@ -139,19 +196,10 @@ class Mailbox {
   // round-robin order even when neighbouring replicated stages deliver out of order (a
   // message being *present* does not make it *next*). The predicate runs with the mailbox
   // locked; it may also read external state, provided every writer of that state calls
-  // Poke() afterwards.
+  // Poke() afterwards. On a socket-fed mailbox the waiter reads the stream itself.
   template <typename Predicate>
   void WaitUntil(Predicate predicate) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      const int64_t min_fwd = forward_.empty() ? -1 : forward_.begin()->first;
-      const int64_t min_bwd = backward_.empty() ? -1 : backward_.begin()->first;
-      if (predicate(min_fwd, min_bwd)) {
-        return;
-      }
-      const uint64_t seen = change_count_;
-      cv_.wait(lock, [&] { return change_count_ != seen; });
-    }
+    Wait(predicate, nullptr);
   }
 
   // Deadline-aware WaitUntil: returns true as soon as the predicate holds, false once
@@ -162,7 +210,63 @@ class Mailbox {
   // to emit a heartbeat and check for an epoch abort.
   template <typename Predicate>
   bool WaitUntilFor(Predicate predicate, std::chrono::milliseconds timeout) {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    const WaitDeadline deadline = std::chrono::steady_clock::now() + timeout;
+    return Wait(predicate, &deadline);
+  }
+
+ private:
+  // The read turn over a socket-fed mailbox: at most one thread reads the source at a time.
+  // Claimed with the mutex held, which it releases for the read; the destructor re-locks,
+  // gives the turn back (detaching a source that reported its end) and notifies, so a
+  // waiter sleeping on the condvar re-checks and can take over.
+  class ReadTurn {
+   public:
+    ReadTurn(Mailbox* box, std::unique_lock<std::mutex>* lock)
+        : box_(box), lock_(lock), source_(box->source_) {
+      box_->reading_ = true;
+      lock_->unlock();
+    }
+    ~ReadTurn() {
+      lock_->lock();
+      box_->reading_ = false;
+      if (closed_) {
+        box_->source_ = nullptr;
+      }
+      ++box_->change_count_;
+      box_->cv_.notify_all();
+    }
+
+    ReadTurn(const ReadTurn&) = delete;
+    ReadTurn& operator=(const ReadTurn&) = delete;
+
+    // Reads once; when the stream held nothing and `await` is set, blocks until bytes
+    // arrive, Poke(), or `deadline`.
+    void Read(const WaitDeadline* deadline, bool await) {
+      const MailboxSource::ReadResult result = source_->Read(box_);
+      closed_ = result == MailboxSource::ReadResult::kClosed;
+      if (result == MailboxSource::ReadResult::kEmpty && await) {
+        source_->Await(deadline);
+      }
+    }
+
+   private:
+    Mailbox* box_;
+    std::unique_lock<std::mutex>* lock_;
+    MailboxSource* source_;
+    bool closed_ = false;
+  };
+
+  // Bumps the change counter and, when a reader may be blocked in the source's poll, wakes
+  // it: a reader sleeps there, not on the condvar.
+  void NoteChangeLocked() {
+    ++change_count_;
+    if (reading_) {
+      source_->Wake();
+    }
+  }
+
+  template <typename Predicate>
+  bool Wait(Predicate& predicate, const WaitDeadline* deadline) {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
       const int64_t min_fwd = forward_.empty() ? -1 : forward_.begin()->first;
@@ -170,20 +274,32 @@ class Mailbox {
       if (predicate(min_fwd, min_bwd)) {
         return true;
       }
+      if (source_ != nullptr && !reading_) {
+        if (deadline != nullptr && std::chrono::steady_clock::now() >= *deadline) {
+          return false;
+        }
+        ReadTurn turn(this, &lock);
+        turn.Read(deadline, /*await=*/true);
+        continue;
+      }
       const uint64_t seen = change_count_;
-      if (!cv_.wait_until(lock, deadline, [&] { return change_count_ != seen; })) {
+      const auto changed = [&] { return change_count_ != seen; };
+      if (deadline == nullptr) {
+        cv_.wait(lock, changed);
+      } else if (!cv_.wait_until(lock, *deadline, changed)) {
         return false;
       }
     }
   }
 
- private:
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::map<int64_t, PipeMessage> forward_;
   std::map<int64_t, PipeMessage> backward_;
   uint64_t change_count_ = 0;
   int64_t depth_hwm_ = 0;
+  MailboxSource* source_ = nullptr;  // null: in-proc, the condvar path only
+  bool reading_ = false;             // a thread holds the read turn
 };
 
 }  // namespace pipedream

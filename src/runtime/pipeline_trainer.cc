@@ -111,6 +111,10 @@ struct PipelineTrainer::StageRuntime {
   int64_t epoch_end = 0;
   std::map<int64_t, ModelContext> contexts;
   std::map<int64_t, Tensor> recompute_inputs;  // stage inputs kept for recomputation
+  // Output stage only: each minibatch's loss gradient, the input of its backward. It is
+  // handed over in place, the way stage 0's forwards read the loader: no message, stamp or
+  // send.
+  std::map<int64_t, PipeMessage> loss_grads;
   int accumulated = 0;  // backwards since the last Step (gradient accumulation)
 
   // --- metrics
@@ -340,6 +344,7 @@ void PipelineTrainer::StageRuntime::PrepareEpoch(int64_t begin, int64_t end) {
   epoch_end = end;
   contexts.clear();
   recompute_inputs.clear();
+  loss_grads.clear();
   accumulated = 0;
 }
 
@@ -388,7 +393,7 @@ void PipelineTrainer::StageRuntime::DoForward(int64_t minibatch, PipeMessage mes
     backward.type = WorkType::kBackward;
     backward.payload = std::move(grad);
     backward.trace_id = flow;
-    trainer->Send(this, stage, std::move(backward));
+    loss_grads.emplace(minibatch, std::move(backward));
   } else {
     PipeMessage forward;
     forward.minibatch = minibatch;
@@ -405,7 +410,9 @@ void PipelineTrainer::StageRuntime::DoBackward(PipeMessage message) {
   const int64_t minibatch = message.minibatch;
   ScopedHistTimer bwd_timer(bwd_hist, trainer->straggler_.get(), stage);
   PD_TRACE_SPAN("bwd", stage, minibatch);
-  VerifyReceived(message, stage);
+  if (!is_output) {  // the output stage's backwards take the local loss gradient, unstamped
+    VerifyReceived(message, stage);
+  }
   // The causal chain ends where the gradient comes home: stage 0's backward.
   const int64_t flow = message.trace_id >= 0 ? message.trace_id : minibatch;
   if (stage == 0) {
@@ -532,11 +539,13 @@ void PipelineTrainer::RunWorker(const WorkerProgram& program,
     // Each op consumes exactly the message its instruction names, whatever order messages
     // arrive in: that makes the trajectory independent of thread timing, and since the
     // programs are a feasible execution, the wait always ends. Stage 0's forwards read
-    // their minibatch from the loader instead.
+    // their minibatch from the loader instead, and the output stage's backwards the loss
+    // gradient its forward left.
     const WorkType type = WorkTypeOf(instr.op);
     const bool from_loader = type == WorkType::kForward && rt->is_input;
+    const bool from_loss = type == WorkType::kBackward && rt->is_output;
     const int64_t wait_begin_ns = obs::TraceClockNs();
-    if (!from_loader) {
+    if (!from_loader && !from_loss) {
       const auto ready = [&](int64_t min_fwd, int64_t min_bwd) {
         return (type == WorkType::kForward ? min_fwd : min_bwd) == instr.minibatch;
       };
@@ -577,6 +586,12 @@ void PipelineTrainer::RunWorker(const WorkerProgram& program,
     if (from_loader) {
       rt->loader->BatchAt(instr.minibatch, &message.payload, &message.targets);
       message.input_version = rt->weights->version();
+    } else if (from_loss) {
+      const auto grad = rt->loss_grads.find(instr.minibatch);
+      PD_CHECK(grad != rt->loss_grads.end())
+          << "backward for minibatch " << instr.minibatch << " before its loss";
+      message = std::move(grad->second);
+      rt->loss_grads.erase(grad);
     } else {
       std::optional<PipeMessage> taken = rt->mailbox->Take(type);
       PD_CHECK(taken.has_value());
@@ -594,6 +609,9 @@ void PipelineTrainer::RunWorker(const WorkerProgram& program,
 }
 
 void PipelineTrainer::Send(StageRuntime* from, int dest_stage, PipeMessage message) {
+  // The whole hop as the sender pays it: stamp, framing, write, and any time spent reading
+  // a full destination's socket. Nested in fwd/bwd, so the per-stage budgets are unchanged.
+  PD_TRACE_SPAN("send", from->stage, message.minibatch);
   if (message.trace_id < 0) {
     // Training messages are keyed by minibatch; any hop that forgot to thread the id
     // through still joins the right causal chain.

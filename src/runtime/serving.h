@@ -18,7 +18,9 @@
 // by Stats(). On top of the wall number, each request's journey is decomposed per stage
 // into three histograms — serve/<transport>/stage<N>/{transport,queue,compute}_seconds:
 // transport is send-to-delivery of the hop into the stage, queue is delivery-to-dequeue
-// inside the stage's inbox, compute is the stage's Forward. The last hop (final stage to
+// inside the stage's inbox, compute is the stage's Forward. Over sockets a request is
+// delivered when the stage thread itself reads it off the socket, so the time it waits in
+// the socket counts as transport and queue is near 0. The last hop (final stage to
 // the egress collector) lands in serve/<transport>/egress/transport_seconds. Requests also
 // carry their id as the wire-level trace id, emitting one "req" flow chain per request so
 // a Perfetto trace shows each request hopping stage to stage. The transport is pluggable
@@ -102,7 +104,8 @@ class PipelineServer {
   ServingStats Stats() const;
 
   // Peak depth of the stage-0 (ingress) inbox — the backpressure witness: bounded by the
-  // admission window no matter how hard clients over-submit.
+  // admission window no matter how hard clients over-submit. Over sockets it counts only
+  // requests already read off the socket.
   int64_t IngressDepthHighWater() const;
 
   int num_stages() const { return plan_.num_stages(); }

@@ -341,6 +341,45 @@ TEST_F(FaultInjectionTest, CorruptedMessageDetectedByChecksumAndRecovered) {
   ExpectBitwiseEqual(*clean, *faulty);
 }
 
+TEST_F(FaultInjectionTest, CorruptedOutputStageGradientDetectedUpstream) {
+  // The output stage hands its loss gradient to its own backward in place; the only
+  // backward message it sends goes to stage S-2. So a corrupt fault keyed on the output
+  // stage's backward send lands on that message and is detected at stage S-2, as
+  // FaultPlan::Random's sending-edge rule assumes.
+  const Dataset data = MakeGaussianMixture(3, 4, 48, 0.4, 7);
+  SoftmaxCrossEntropy loss;
+  Sgd sgd(0.05);
+  auto make_trainer = [&] {
+    Rng rng(1);
+    const auto model = BuildMlpClassifier(4, {8, 8}, 3, &rng);  // 5 layers
+    const auto plan = MakeStraightPlan(static_cast<int>(model->size()), {2, 4});
+    return std::make_unique<PipelineTrainer>(*model, plan, &loss, sgd, &data, 8, /*seed=*/5);
+  };
+  auto clean = make_trainer();
+  clean->TrainEpoch();
+  clean->TrainEpoch();
+
+  auto faulty = make_trainer();
+  CheckpointManager manager(Subdir("ckpt"));
+  faulty->EnableRecovery(&manager, FastRecovery());
+  FaultPlan plan;
+  plan.events.push_back({FaultKind::kCorruptMessage, /*stage=*/2, /*replica=*/0,
+                         /*minibatch=*/5, WorkType::kBackward, 0.0});
+  FaultInjector injector(plan);
+  faulty->SetFaultInjector(&injector);
+  const EpochStats hit = faulty->TrainEpoch();
+  EXPECT_EQ(hit.failures_detected, 1);
+  faulty->TrainEpoch();
+
+  ASSERT_EQ(faulty->failures().size(), 1u);
+  EXPECT_EQ(faulty->failures()[0].stage, 1);
+  EXPECT_NE(faulty->failures()[0].reason.find(
+                "backward payload for minibatch 5 failed its checksum at stage 1"),
+            std::string::npos)
+      << faulty->failures()[0].reason;
+  ExpectBitwiseEqual(*clean, *faulty);
+}
+
 TEST_F(FaultInjectionTest, DroppedMessageTriggersProgressWatchdog) {
   const Dataset data = MakeGaussianMixture(3, 4, 48, 0.4, 7);
   SoftmaxCrossEntropy loss;

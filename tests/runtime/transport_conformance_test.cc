@@ -9,12 +9,20 @@
 //   * end-to-end checksum — corruption injected before Send is flagged at the receiver over
 //     *any* transport (the message checksum travels the wire);
 //   * clean shutdown — Drain + Shutdown never loses an in-flight message;
-//   * concurrent senders — interleaved multi-threaded Sends never tear a message.
+//   * concurrent senders — interleaved multi-threaded Sends never tear a message;
+//   * the receive model — Start() starts no thread; two workers sending each other more
+//     than a socket buffer both finish; Drain() delivers to an endpoint nobody waits on;
+//   * training — a fixed-seed run ends bitwise equal over both transports (straight,
+//     1F1B-RR and interleaved plans) and sends 2(S-1) messages per minibatch.
 #include "src/runtime/transport.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <future>
 #include <limits>
 #include <optional>
 #include <string>
@@ -22,7 +30,15 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
+#include "src/data/dataset.h"
+#include "src/graph/loss.h"
+#include "src/graph/models.h"
+#include "src/obs/metrics.h"
+#include "src/optim/sgd.h"
 #include "src/runtime/fault.h"
+#include "src/runtime/pipeline_trainer.h"
+#include "src/tensor/ops.h"
 #include "src/tensor/pool.h"
 
 namespace pipedream {
@@ -254,6 +270,168 @@ TEST_P(TransportConformanceTest, TraceIdSurvivesDeliveryBitExact) {
     EXPECT_EQ(taken->trace_id, patterns[i]) << "trace id torn in transit (message " << i
                                             << ")";
     EXPECT_TRUE(VerifyChecksum(*taken));
+  }
+}
+
+size_t ProcessThreadCount() {
+  size_t threads = 0;
+  for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++threads;
+  }
+  return threads;
+}
+
+TEST_P(TransportConformanceTest, StartStartsNoThread) {
+  // Delivery needs no thread of the transport's own: the socket transport's inboxes are
+  // read by whoever waits on them.
+  const auto transport = Make();
+  for (int stage = 0; stage < 4; ++stage) {
+    transport->AddEndpoint(stage, 0);
+  }
+  const size_t before = ProcessThreadCount();
+  ASSERT_TRUE(transport->Start().ok());
+  EXPECT_EQ(ProcessThreadCount(), before);
+  transport->Send(1, 0, MakeMessage(0, WorkType::kForward, 1.0f));
+  EXPECT_EQ(ProcessThreadCount(), before);
+}
+
+TEST_P(TransportConformanceTest, CrossedLargeSendsComplete) {
+  // Two workers each send the other a message several socket buffers long, then wait on
+  // their own inbox. Neither reads while it sends, so over sockets each sender has to drain
+  // the other's socket itself; without that rule both block forever.
+  const auto transport = Make();
+  Mailbox* inboxes[2] = {transport->AddEndpoint(0, 0), transport->AddEndpoint(1, 0)};
+  ASSERT_TRUE(transport->Start().ok());
+  constexpr int64_t kNumel = int64_t{2} << 20;  // 8 MB of floats
+  std::promise<bool> done[2];
+  std::future<bool> finished[2] = {done[0].get_future(), done[1].get_future()};
+  const auto worker = [&](int self) {
+    const int peer = 1 - self;
+    transport->Send(peer, 0,
+                    MakeMessage(self, WorkType::kForward, static_cast<float>(self), kNumel));
+    bool ok = AwaitForward(inboxes[self]);
+    if (ok) {
+      const std::optional<PipeMessage> taken = inboxes[self]->Take(WorkType::kForward);
+      ok = taken.has_value() && taken->minibatch == peer && VerifyChecksum(*taken) &&
+           taken->payload.numel() == kNumel &&
+           std::as_const(taken->payload)[kNumel - 1] == static_cast<float>(peer);
+    }
+    done[self].set_value(ok);
+  };
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::thread first(worker, 0);
+  std::thread second(worker, 1);
+  for (std::future<bool>& f : finished) {
+    if (f.wait_until(deadline) != std::future_status::ready) {
+      // The workers are blocked for good; joining would hang the suite.
+      std::fprintf(stderr, "crossed 8 MB sends did not finish within 10 s\n");
+      std::_Exit(1);
+    }
+  }
+  first.join();
+  second.join();
+  EXPECT_TRUE(finished[0].get());
+  EXPECT_TRUE(finished[1].get());
+}
+
+TEST_P(TransportConformanceTest, DrainDeliversToAnEndpointNobodyWaitsOn) {
+  // 8 MB, several socket buffers' worth, to an inbox no thread waits on: the sender makes
+  // room by reading the socket into the inbox, and Drain() reads the rest.
+  const auto transport = Make();
+  Mailbox* inbox = transport->AddEndpoint(0, 0);
+  ASSERT_TRUE(transport->Start().ok());
+  constexpr int kMessages = 8;
+  constexpr int64_t kNumel = int64_t{256} << 10;  // 1 MB each
+  for (int i = 0; i < kMessages; ++i) {
+    transport->Send(0, 0, MakeMessage(i, WorkType::kForward, static_cast<float>(i), kNumel));
+  }
+  transport->Drain();
+  for (int64_t want = 0; want < kMessages; ++want) {
+    const std::optional<PipeMessage> taken = inbox->Take(WorkType::kForward);
+    ASSERT_TRUE(taken.has_value()) << "message " << want << " missing after Drain";
+    EXPECT_EQ(taken->minibatch, want);
+    EXPECT_TRUE(VerifyChecksum(*taken));
+    EXPECT_EQ(std::as_const(taken->payload)[kNumel - 1], static_cast<float>(want));
+  }
+  EXPECT_FALSE(inbox->Take(WorkType::kForward).has_value());
+}
+
+// --- training over the transport ---
+
+struct TrainingCase {
+  std::vector<int> cuts;                        // straight plan cuts, or
+  std::vector<std::pair<int, int>> shape;       // (layers, replicas) per stage
+  ScheduleKind schedule = ScheduleKind::kOneFOneB;
+  int chunks = 1;
+};
+
+// Two fixed-seed epochs of a 7-layer MLP; returns the assembled parameters.
+std::vector<Tensor> TrainTwoEpochs(const TrainingCase& c, TransportKind transport) {
+  const Dataset data = MakeGaussianMixture(3, 4, 48, 0.4, 7);
+  SoftmaxCrossEntropy loss;
+  Sgd sgd(0.05);
+  Rng rng(1);
+  const auto model = BuildMlpClassifier(4, {8, 8, 8}, 3, &rng);
+  const int layers = static_cast<int>(model->size());
+  const PipelinePlan plan =
+      c.shape.empty() ? MakeStraightPlan(layers, c.cuts) : MakePlanFromShape(c.shape);
+  PipelineTrainerOptions options;
+  options.transport = transport;
+  options.schedule = c.schedule;
+  options.interleave_chunks = c.chunks;
+  PipelineTrainer trainer(*model, plan, &loss, sgd, &data, 8, /*seed=*/5, options);
+  trainer.TrainEpoch();
+  trainer.TrainEpoch();
+  const auto trained = trainer.AssembleModel();
+  std::vector<Tensor> params;
+  for (const Parameter* p : trained->Params()) {
+    params.push_back(p->value);
+  }
+  return params;
+}
+
+TEST(TransportTrainingTest, SocketRunsEndBitwiseEqualToInProc) {
+  // The socket transport changes how bytes move, never which: a straight 4-stage plan, a
+  // 1F1B-RR 2-1 plan, and an interleaved k=2 plan whose two workers each own two chunk
+  // endpoints and read only the one they wait on, all end bitwise equal to in-proc.
+  const std::vector<std::pair<std::string, TrainingCase>> cases = {
+      {"straight4", {{2, 4, 6}, {}, ScheduleKind::kOneFOneB, 1}},
+      {"1f1b_rr_2-1", {{}, {{4, 2}, {3, 1}}, ScheduleKind::kOneFOneB, 1}},
+      {"interleaved_k2", {{2, 4, 6}, {}, ScheduleKind::kInterleaved, 2}},
+  };
+  for (const auto& [name, c] : cases) {
+    const std::vector<Tensor> inproc = TrainTwoEpochs(c, TransportKind::kInProc);
+    const std::vector<Tensor> socket = TrainTwoEpochs(c, TransportKind::kUnixSocket);
+    ASSERT_EQ(inproc.size(), socket.size()) << name;
+    for (size_t i = 0; i < inproc.size(); ++i) {
+      EXPECT_EQ(MaxAbsDiff(inproc[i], socket[i]), 0.0) << name << " parameter " << i;
+    }
+  }
+}
+
+TEST_P(TransportConformanceTest, TrainingSendsTwoMessagesPerBoundaryPerMinibatch) {
+  // One forward and one backward per stage boundary: the output stage's loss gradient is
+  // handed to its backward in place, not sent.
+  const Dataset data = MakeGaussianMixture(3, 4, 48, 0.4, 7);
+  SoftmaxCrossEntropy loss;
+  Sgd sgd(0.05);
+  obs::Counter* sent = obs::GetCounter("transport/messages_sent");
+  for (int stages = 2; stages <= 4; ++stages) {
+    Rng rng(1);
+    const auto model = BuildMlpClassifier(4, {8, 8, 8}, 3, &rng);  // 7 layers
+    std::vector<int> cuts;
+    for (int s = 1; s < stages; ++s) {
+      cuts.push_back(2 * s);
+    }
+    PipelineTrainerOptions options;
+    options.transport = GetParam();
+    PipelineTrainer trainer(*model, MakeStraightPlan(static_cast<int>(model->size()), cuts),
+                            &loss, sgd, &data, 8, /*seed=*/5, options);
+    const int64_t before = sent->value();
+    const EpochStats stats = trainer.TrainEpoch();
+    EXPECT_EQ(sent->value() - before, 2 * (stages - 1) * stats.minibatches)
+        << stages << " stages";
   }
 }
 

@@ -15,6 +15,8 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <sys/socket.h>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -93,11 +95,8 @@ TEST(MessageSerializationTest, RoundTripIsExact) {
   }
 }
 
-TEST(MessageSerializationTest, FrameBytesArePinned) {
-  // One small forward message's complete PDM1 frame, byte for byte: magic, body length,
-  // the v2 body (version, type, minibatch, input_version, trace_id, checksum, payload
-  // [2, 3], targets [2]) and the body CRC. Any change to the encoder or to Crc32 that moves
-  // a wire byte fails here.
+// One small forward message whose complete PDM1 frame is pinned below.
+PipeMessage PinnedMessage() {
   PipeMessage m;
   m.minibatch = 7;
   m.type = WorkType::kForward;
@@ -111,26 +110,92 @@ TEST(MessageSerializationTest, FrameBytesArePinned) {
   m.input_version = 4;
   m.trace_id = 7;
   StampChecksum(&m);
-  std::vector<uint8_t> frame;
-  AppendFrame(m, &frame);
+  return m;
+}
+
+// PinnedMessage()'s frame, byte for byte: magic, body length, the v2 body (version, type,
+// minibatch, input_version, trace_id, checksum, payload [2, 3], targets [2]) and the body
+// CRC.
+constexpr const char* kPinnedFrameHex =
+    "50444d31" "5e000000"                                  // magic, body length 94
+    "02" "00" "0700000000000000" "0400000000000000"        // version, type, mb, iv
+    "0700000000000000" "b746c2a1"                          // trace_id, checksum
+    "02000000" "0200000000000000" "0300000000000000"       // payload rank, dims
+    "000080bf" "000000bf" "00000000" "0000003f" "0000803f" "0000c03f"
+    "01000000" "0200000000000000" "0000803f" "00004040"    // targets
+    "ba8afbf1";                                            // body CRC
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
   std::string hex;
-  for (const uint8_t b : frame) {
-    static const char kDigits[] = "0123456789abcdef";
+  for (const uint8_t b : bytes) {
     hex += kDigits[b >> 4];
     hex += kDigits[b & 0xF];
   }
-  EXPECT_EQ(hex,
-            "50444d31" "5e000000"                                  // magic, body length 94
-            "02" "00" "0700000000000000" "0400000000000000"        // version, type, mb, iv
-            "0700000000000000" "b746c2a1"                          // trace_id, checksum
-            "02000000" "0200000000000000" "0300000000000000"       // payload rank, dims
-            "000080bf" "000000bf" "00000000" "0000003f" "0000803f" "0000c03f"
-            "01000000" "0200000000000000" "0000803f" "00004040"    // targets
-            "ba8afbf1");                                           // body CRC
+  return hex;
+}
+
+TEST(MessageSerializationTest, FrameBytesArePinned) {
+  // Any change to the encoder or to Crc32 that moves a wire byte fails here.
+  const PipeMessage m = PinnedMessage();
+  std::vector<uint8_t> frame;
+  AppendFrame(m, &frame);
+  EXPECT_EQ(Hex(frame), kPinnedFrameHex);
   EXPECT_EQ(frame.capacity(), frame.size());
   const std::vector<uint8_t> body = SerializeMessage(m);
   EXPECT_EQ(body.capacity(), body.size());
   EXPECT_TRUE(std::equal(body.begin(), body.end(), frame.begin() + 8, frame.end() - 4));
+}
+
+TEST(MessageSerializationTest, GatherWriteBytesArePinned) {
+  // The socket transport's writer sends the pieces straight from the tensors; what reaches
+  // the other end of the socket is the same pinned frame.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const Result<size_t> written = WriteFrame(fds[0], PinnedMessage());
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  ::close(fds[0]);
+  std::vector<uint8_t> received;
+  uint8_t chunk[256];
+  ssize_t n;
+  while ((n = ::recv(fds[1], chunk, sizeof(chunk), 0)) > 0) {
+    received.insert(received.end(), chunk, chunk + n);
+  }
+  ::close(fds[1]);
+  EXPECT_EQ(*written, received.size());
+  EXPECT_EQ(Hex(received), kPinnedFrameHex);
+}
+
+TEST(MessageSerializationTest, GatherWriteResumesShortWrites) {
+  // A frame many socket buffers long goes out in short writes while another thread reads;
+  // the reader gets exactly AppendFrame's bytes.
+  Rng rng(13);
+  PipeMessage m = MakeMessage(2, &rng);
+  m.payload = Tensor({int64_t{1} << 20});  // 4 MB
+  for (int64_t i = 0; i < m.payload.numel(); ++i) {
+    m.payload.data()[i] = static_cast<float>(i % 977);
+  }
+  StampChecksum(&m);
+  std::vector<uint8_t> want;
+  AppendFrame(m, &want);
+
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::vector<uint8_t> received;
+  std::thread reader([&] {
+    std::vector<uint8_t> chunk(4096);
+    ssize_t n;
+    while ((n = ::recv(fds[1], chunk.data(), chunk.size(), 0)) > 0) {
+      received.insert(received.end(), chunk.begin(), chunk.begin() + n);
+    }
+  });
+  const Result<size_t> written = WriteFrame(fds[0], m);
+  ::close(fds[0]);
+  reader.join();
+  ::close(fds[1]);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_EQ(*written, want.size());
+  EXPECT_TRUE(received == want);
 }
 
 TEST(MessageSerializationTest, TruncatedBodiesErrorCleanly) {
