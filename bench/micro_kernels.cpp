@@ -1,9 +1,12 @@
 // Kernel-variant throughput + roofline: GFLOP/s for matmul and conv (forward and backward)
 // across sizes, for every kernel variant (naive / blocked / simd), against the measured
-// micro-kernel peak.
+// micro-kernel peak. The matmul rows include the three products of one 8-row request in
+// the serving benchmark's MLP (64 -> 5 x 256 -> 16), which the simd kernel runs as one
+// strip, unpacked.
 //
-// Usage: bench_micro_kernels [--json]
-//   --json   emit a machine-readable report (the format stored in BENCH_kernels.json)
+// Usage: bench_micro_kernels [--json] [--commit <id>]
+//   --json          emit a machine-readable report (the format stored in BENCH_kernels.json)
+//   --commit <id>   the source revision to record in the report's provenance
 //
 // All variants are timed from the same binary with identical compiler flags, so the
 // ratios isolate the algorithmic win (cache blocking, register tiling, packing, explicit
@@ -39,14 +42,17 @@ double NowSeconds() {
       .count();
 }
 
-// Best-of-reps wall time of fn().
+// Best-of-reps wall time of one fn() call, each rep timing `calls` back-to-back calls so
+// that microsecond-scale products are not lost in the clock's overhead.
 template <typename Fn>
-double TimeBest(int reps, Fn&& fn) {
+double TimeBest(int reps, int calls, Fn&& fn) {
   double best = 1e30;
   for (int r = 0; r < reps; ++r) {
     const double t0 = NowSeconds();
-    fn();
-    best = std::min(best, NowSeconds() - t0);
+    for (int i = 0; i < calls; ++i) {
+      fn();
+    }
+    best = std::min(best, (NowSeconds() - t0) / calls);
   }
   return best;
 }
@@ -66,26 +72,27 @@ struct Row {
 // Times fn() once per kernel variant (the variant is pinned around each run), on one
 // kernel thread.
 template <typename Fn>
-void TimeVariants(int reps, Row* row, Fn&& fn) {
+void TimeVariants(int reps, int calls, Row* row, Fn&& fn) {
   ScopedKernelBudget one_thread(1);
   for (int v = 0; v < kNumVariants; ++v) {
     SetKernelVariantForTesting(kVariants[v]);
-    row->seconds[v] = TimeBest(reps, fn);
+    row->seconds[v] = TimeBest(reps, calls, fn);
   }
   ClearKernelVariantForTesting();
 }
 
-Row BenchMatmul(int64_t n, int reps) {
+// C[m, n] = A[m, k] @ B[k, n], labelled "matmul MxKxN".
+Row BenchMatmul(int64_t m, int64_t k, int64_t n, int reps, int calls) {
   Rng rng(1);
-  Tensor a({n, n});
-  Tensor b({n, n});
+  Tensor a({m, k});
+  Tensor b({k, n});
   Tensor c;
   InitGaussian(&a, 1.0f, &rng);
   InitGaussian(&b, 1.0f, &rng);
   Row row;
-  row.label = "matmul " + std::to_string(n) + "x" + std::to_string(n) + "x" + std::to_string(n);
-  row.flops = 2.0 * static_cast<double>(n) * n * n;
-  TimeVariants(reps, &row, [&] { Gemm(a, false, b, false, 1.0f, 0.0f, &c); });
+  row.label = "matmul " + std::to_string(m) + "x" + std::to_string(k) + "x" + std::to_string(n);
+  row.flops = 2.0 * static_cast<double>(m) * k * n;
+  TimeVariants(reps, calls, &row, [&] { Gemm(a, false, b, false, 1.0f, 0.0f, &c); });
   return row;
 }
 
@@ -117,7 +124,7 @@ void BenchConv(int64_t batch, int64_t ic, int64_t oc, int64_t hw, int64_t k, int
                 static_cast<long long>(hw), static_cast<long long>(k));
   row.label = label;
   row.flops = 2.0 * static_cast<double>(batch) * oc * g.out_h() * g.out_w() * ic * k * k;
-  TimeVariants(reps, &row, [&] { Conv2dForward(input, weight, bias, g, &out); });
+  TimeVariants(reps, 1, &row, [&] { Conv2dForward(input, weight, bias, g, &out); });
   forward->push_back(row);
 
   Tensor grad_out(out.shape());
@@ -126,14 +133,25 @@ void BenchConv(int64_t batch, int64_t ic, int64_t oc, int64_t hw, int64_t k, int
   Tensor grad_bias({oc});
   Tensor grad_input;
   row.flops *= 2.0;
-  TimeVariants(reps, &row, [&] {
+  TimeVariants(reps, 1, &row, [&] {
     Conv2dBackward(input, weight, grad_out, g, &grad_weight, &grad_bias, &grad_input);
   });
   backward->push_back(row);
 }
 
 int Main(int argc, char** argv) {
-  const bool json = argc > 1 && std::strcmp(argv[1], "--json") == 0;
+  bool json = false;
+  std::string commit = "unknown";
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--json") == 0) {
+      json = true;
+    } else if (std::strcmp(argv[i], "--commit") == 0 && i + 1 < argc) {
+      commit = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: %s [--json] [--commit <id>]\n", argv[0]);
+      return 2;
+    }
+  }
   // Micro-kernel peaks first (cold caches elsewhere don't matter: panels live in L1).
   const double peak_blocked = MicroKernelPeakGflops(KernelVariant::kBlocked);
   const double peak_simd = MicroKernelPeakGflops(KernelVariant::kSimd);
@@ -141,8 +159,12 @@ int Main(int argc, char** argv) {
 
   std::vector<Row> matmul;
   for (const int64_t n : {128, 256, 384, 512}) {
-    matmul.push_back(BenchMatmul(n, n <= 256 ? 9 : 7));
+    matmul.push_back(BenchMatmul(n, n, n, n <= 256 ? 9 : 7, 1));
   }
+  // One 8-row serving request: the first layer, the four 256-wide hidden layers, the head.
+  matmul.push_back(BenchMatmul(8, 64, 256, 9, 200));
+  matmul.push_back(BenchMatmul(8, 256, 256, 9, 100));
+  matmul.push_back(BenchMatmul(8, 256, 16, 9, 400));
   std::vector<Row> conv;
   std::vector<Row> conv_backward;
   BenchConv(4, 8, 16, 32, 3, 7, &conv, &conv_backward);
@@ -156,6 +178,11 @@ int Main(int argc, char** argv) {
     std::printf("{\n  \"note\": \"GFLOP/s, best-of-N wall time on one kernel thread "
                 "(ScopedKernelBudget(1)); pct_peak is vs the measured single-thread in-L1 "
                 "micro-kernel roofline\",\n");
+    std::printf("  \"commit\": \"%s\",\n", commit.c_str());
+    std::printf("  \"compiler\": \"%s\",\n", PD_BENCH_COMPILER);
+    std::printf("  \"build_type\": \"%s\",\n", PD_BENCH_BUILD_TYPE);
+    std::printf("  \"cxx_flags\": \"%s\",\n", PD_BENCH_CXX_FLAGS);
+    std::printf("  \"kernel_flags\": \"%s\",\n", PD_BENCH_KERNEL_FLAGS);
     std::printf("  \"nproc\": %u,\n", std::thread::hardware_concurrency());
     std::printf("  \"pool_threads\": %d,\n", ThreadPool::GlobalThreads());
     std::printf("  \"kernel_threads\": 1,\n");
@@ -187,9 +214,12 @@ int Main(int argc, char** argv) {
   }
 
   std::printf("micro-kernel roofline: blocked %.1f GF/s, simd(%s) %.1f GF/s, ceiling %.1f GF/s "
-              "(one kernel thread; nproc %u)\n\n",
+              "(one kernel thread; nproc %u)\n",
               peak_blocked, SimdKernelIsa(), peak_simd, ceiling,
               std::thread::hardware_concurrency());
+  std::printf("build: %s %s, cxx flags \"%s\", kernel flags \"%s\", commit %s\n\n",
+              PD_BENCH_COMPILER, PD_BENCH_BUILD_TYPE, PD_BENCH_CXX_FLAGS,
+              PD_BENCH_KERNEL_FLAGS, commit.c_str());
   std::printf("%-32s %10s %9s %7s %11s %11s\n", "case", "variant", "GF/s", "%peak",
               "vs naive", "simd/blkd");
   for (const auto& rows : {&matmul, &conv, &conv_backward}) {

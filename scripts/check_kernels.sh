@@ -1,7 +1,9 @@
 #!/bin/sh
-# Kernel dispatch matrix check: builds the tree three times (native ISA, the portable
-# baseline with -march=native disabled, and native under ASan + UBSan) and runs the
-# `kernels` ctest label in each.
+# Kernel dispatch matrix check: builds the tree four times (native ISA, AVX2+FMA without
+# -march=native, the portable baseline with no vector ISA, and native under ASan + UBSan)
+# and runs the `kernels` ctest label in each. The AVX2 build compiles the simd variant's
+# 6x16 ymm kernel and its masked-load column edges, which a native AVX-512 build never
+# compiles.
 # Within every run the label covers the remaining axes itself: ops_test/kernel_diff_test
 # run under default dispatch, their *_naive duplicates re-run with PIPEDREAM_NAIVE_KERNELS=1,
 # and the variant-pinned suites inside kernel_diff_test exercise blocked and simd
@@ -31,7 +33,8 @@ run_one() {
 }
 
 run_one "${prefix}-native" ""
+run_one "${prefix}-avx2" "" -DPIPEDREAM_PORTABLE=ON "-DCMAKE_CXX_FLAGS=-mavx2 -mfma"
 run_one "${prefix}-portable" "" -DPIPEDREAM_PORTABLE=ON
 run_one "${prefix}-asan" "PIPEDREAM_NO_POOL=1" -DPIPEDREAM_SANITIZE=address,undefined
 
-echo "kernel matrix OK: native, portable and ASan+UBSan builds, default and naive dispatch"
+echo "kernel matrix OK: native, AVX2, portable and ASan+UBSan builds, default and naive dispatch"

@@ -8,11 +8,12 @@
 # includes the per-stage bubble-fraction-by-cause gauges, and finally verify the demo's
 # Chrome trace parses as JSON and carries "mb" flow events.
 #
-# Usage: scripts/check_obs.sh [build-dir]   (default: build-obscheck)
+# Usage: scripts/check_obs.sh [build-dir]   (default: build-schedcheck, the TSan tree
+# scripts/check_schedules.sh builds with the same flags, so running both compiles it once)
 set -eu
 
 cd "$(dirname "$0")/.."
-dir="${1:-build-obscheck}"
+dir="${1:-build-schedcheck}"
 
 echo "== configure $dir (-DPIPEDREAM_SANITIZE=thread)"
 cmake -B "$dir" -S . -DPIPEDREAM_SANITIZE=thread > /dev/null

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <thread>
 
@@ -803,19 +805,28 @@ bool PipelineTrainer::RunRange(int64_t begin, int64_t end, EpochStats* stats) {
   // (a lost message starves everyone while every worker still heartbeats — global progress
   // staleness). It also maintains the per-stage alive/beat_age_ms gauges that /healthz
   // reads, so it runs (in observe-only mode) whenever the health endpoint is armed even if
-  // recovery is not.
-  std::atomic<bool> watchdog_stop{false};
+  // recovery is not. Between polls it waits on a condition variable that is notified once
+  // the workers are joined, so an epoch ends when they finish, not when a poll period does.
+  std::mutex watchdog_mu;
+  std::condition_variable watchdog_cv;
+  bool watchdog_stop = false;  // guarded by watchdog_mu
   std::thread watchdog;
   const bool enforce = recovery_enabled_ || injector_ != nullptr;
   if (enforce || health_ != nullptr) {
-    watchdog = std::thread([this, &active, &watchdog_stop, enforce] {
+    watchdog = std::thread([this, &active, &watchdog_mu, &watchdog_cv, &watchdog_stop,
+                            enforce] {
       obs::SetThreadLabel("watchdog");
       int64_t last_progress = -1;
       int64_t last_progress_ms = NowMillis();
-      while (!watchdog_stop.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(recovery_.watchdog_poll_ms));
-        if (watchdog_stop.load(std::memory_order_acquire) ||
-            epoch_abort_.load(std::memory_order_acquire)) {
+      const auto poll = std::chrono::milliseconds(recovery_.watchdog_poll_ms);
+      while (true) {
+        {
+          std::unique_lock<std::mutex> lock(watchdog_mu);
+          if (watchdog_cv.wait_for(lock, poll, [&] { return watchdog_stop; })) {
+            return;
+          }
+        }
+        if (epoch_abort_.load(std::memory_order_acquire)) {
           return;
         }
         bool all_done = true;
@@ -878,7 +889,11 @@ bool PipelineTrainer::RunRange(int64_t begin, int64_t end, EpochStats* stats) {
   for (std::thread& t : threads) {
     t.join();
   }
-  watchdog_stop.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(watchdog_mu);
+    watchdog_stop = true;
+  }
+  watchdog_cv.notify_one();
   if (watchdog.joinable()) {
     watchdog.join();
   }

@@ -1,6 +1,7 @@
 #include "src/tensor/ops.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -59,7 +60,9 @@ KernelVariant DefaultKernelVariant() {
 //
 // Two kernels drive the shared macro loop: the blocked kernel (6x16 tile, GCC/Clang
 // vector extensions) and the simd kernel (explicit intrinsics sized to the widest ISA
-// the build targets, with a direct-to-C epilogue for full interior tiles).
+// the build targets, with a direct-to-C epilogue for full interior tiles). The simd
+// kernel runs products whose A fits in one MR strip unpacked, on the same tile
+// (RunsOneStrip).
 // ---------------------------------------------------------------------------------------
 
 constexpr int64_t kMr = 6;    // blocked microkernel rows (register tiling)
@@ -68,7 +71,8 @@ constexpr int64_t kMc = 96;   // rows of C per packed A block (multiple of kMr)
 constexpr int64_t kKc = 256;  // K extent of packed blocks
 constexpr int64_t kNc = 512;  // columns of C per packed B panel (multiple of kNr)
 
-// Problems below this FLOP count skip packing entirely; the naive loops win there.
+// Products below this FLOP count that the one-strip rule does not take (RunsOneStrip) skip
+// packing entirely; the naive loops win there.
 constexpr int64_t kTinyGemmElems = 32 * 32 * 32;
 
 inline float OpAt(const float* p, int64_t ld, bool transpose, int64_t r, int64_t c) {
@@ -193,11 +197,18 @@ inline void MicroKernel(int64_t kc, const float* __restrict__ apanel,
 // ---------------------------------------------------------------------------------------
 // Explicit-SIMD micro-kernels. Tile sizes follow the register file of the widest ISA the
 // build targets; the scalar fallback keeps the same interface so the macro loop and the
-// dispatch table never change shape. Each ISA provides two entry points:
-//   Edge:   acc[MR][NR] = A-strip @ B-strip over kc (acc is fully written), used for
-//           partial tiles whose writeback must be clipped to rows x cols.
-//   Direct: C[MR][NR] += alpha * A-strip @ B-strip at row stride ldc, used for full
-//           interior tiles — skips the acc spill and the scalar writeback loop.
+// dispatch table never change shape. One accumulate loop per ISA serves two callers:
+//   Packed: the macro loop's MR x NR tile over packed strips, with two entry points —
+//     Edge:   acc[MR][NR] = A-strip @ B-strip over kc (acc is fully written), used for
+//             partial tiles whose writeback must be clipped to rows x cols.
+//     Direct: C[MR][NR] += alpha * A-strip @ B-strip at row stride ldc, used for full
+//             interior tiles — skips the acc spill and the scalar writeback loop.
+//   One strip (SimdOneStripTile): a ROWS x cols tile (ROWS <= MR, cols <= NR) read straight
+//     from op(A) and B where they lie, B's column edge masked. Its epilogue is Direct's for
+//     a full MR x NR tile and Edge's `C += alpha * acc` for any other, so every C element
+//     gets the same FMA sequence and the same rounding as in the packed macro loop.
+// Operand addressing: op(A)[r][kk] = a[r * a_rs + kk * a_ks] and B row kk starts at
+// b + kk * ldb. A packed strip is (a_rs, a_ks, ldb) = (1, MR, NR).
 // ---------------------------------------------------------------------------------------
 
 #if defined(__AVX512F__)
@@ -209,31 +220,55 @@ constexpr int64_t kSimdKc = 256;
 constexpr int64_t kSimdNc = 512;  // multiple of kSimdNr
 constexpr char kSimdIsaName[] = "avx512";
 
+// Lanes [0, cols) of a 16-float vector.
+inline __mmask16 ColumnMask(int64_t cols) {
+  return cols >= 16 ? __mmask16{0xFFFF}
+                    : static_cast<__mmask16>((1u << std::max<int64_t>(cols, 0)) - 1u);
+}
+
+// c[r] = op(A)[r][0, kc) @ B[0, kc)[0, NR) for r < ROWS. With kEdge, B's lanes at or past
+// `cols` load as zero and touch no memory.
+//
 // The accumulator tile is an indexed array, unlike the blocked kernel's named vectors:
 // with constant trip counts GCC/Clang fully unroll these loops and promote all 28
 // accumulators to zmm registers (verified against the named-variable form).
-inline void SimdAccumulate(int64_t kc, const float* __restrict__ apanel,
-                           const float* __restrict__ bpanel, __m512 c[kSimdMr][2]) {
-  for (int64_t r = 0; r < kSimdMr; ++r) {
+template <int64_t ROWS, bool kEdge>
+inline void SimdAccumulate(int64_t kc, const float* __restrict__ a, int64_t a_rs,
+                           int64_t a_ks, const float* __restrict__ b, int64_t ldb,
+                           int64_t cols, __m512 c[kSimdMr][2]) {
+  const __mmask16 m0 = ColumnMask(cols);
+  const __mmask16 m1 = ColumnMask(cols - 16);
+  for (int64_t r = 0; r < ROWS; ++r) {
     c[r][0] = _mm512_setzero_ps();
     c[r][1] = _mm512_setzero_ps();
   }
   for (int64_t kk = 0; kk < kc; ++kk) {
-    const __m512 b0 = _mm512_loadu_ps(bpanel + kk * kSimdNr);
-    const __m512 b1 = _mm512_loadu_ps(bpanel + kk * kSimdNr + 16);
-    const float* a = apanel + kk * kSimdMr;
-    for (int64_t r = 0; r < kSimdMr; ++r) {
-      const __m512 av = _mm512_set1_ps(a[r]);
+    const float* bk = b + kk * ldb;
+    const __m512 b0 = kEdge ? _mm512_maskz_loadu_ps(m0, bk) : _mm512_loadu_ps(bk);
+    const __m512 b1 = kEdge ? _mm512_maskz_loadu_ps(m1, bk + 16) : _mm512_loadu_ps(bk + 16);
+    const float* ak = a + kk * a_ks;
+    for (int64_t r = 0; r < ROWS; ++r) {
+      const __m512 av = _mm512_set1_ps(ak[r * a_rs]);
       c[r][0] = _mm512_fmadd_ps(av, b0, c[r][0]);
       c[r][1] = _mm512_fmadd_ps(av, b1, c[r][1]);
     }
   }
 }
 
+// C[MR][NR] = fma(alpha, c, C): Direct's epilogue.
+inline void SimdFoldFull(__m512 c[kSimdMr][2], float alpha, float* cblk, int64_t ldc) {
+  const __m512 va = _mm512_set1_ps(alpha);
+  for (int64_t r = 0; r < kSimdMr; ++r) {
+    float* p = cblk + r * ldc;
+    _mm512_storeu_ps(p, _mm512_fmadd_ps(va, c[r][0], _mm512_loadu_ps(p)));
+    _mm512_storeu_ps(p + 16, _mm512_fmadd_ps(va, c[r][1], _mm512_loadu_ps(p + 16)));
+  }
+}
+
 void SimdMicroKernel(int64_t kc, const float* __restrict__ apanel,
                      const float* __restrict__ bpanel, float* __restrict__ acc) {
   __m512 c[kSimdMr][2];
-  SimdAccumulate(kc, apanel, bpanel, c);
+  SimdAccumulate<kSimdMr, false>(kc, apanel, 1, kSimdMr, bpanel, kSimdNr, kSimdNr, c);
   for (int64_t r = 0; r < kSimdMr; ++r) {
     _mm512_storeu_ps(acc + r * kSimdNr, c[r][0]);
     _mm512_storeu_ps(acc + r * kSimdNr + 16, c[r][1]);
@@ -244,12 +279,32 @@ void SimdMicroKernelDirect(int64_t kc, const float* __restrict__ apanel,
                            const float* __restrict__ bpanel, float alpha,
                            float* __restrict__ cblk, int64_t ldc) {
   __m512 c[kSimdMr][2];
-  SimdAccumulate(kc, apanel, bpanel, c);
+  SimdAccumulate<kSimdMr, false>(kc, apanel, 1, kSimdMr, bpanel, kSimdNr, kSimdNr, c);
+  SimdFoldFull(c, alpha, cblk, ldc);
+}
+
+template <int64_t ROWS>
+void SimdOneStripTile(int64_t kc, const float* a, int64_t a_rs, int64_t a_ks, const float* b,
+                      int64_t ldb, int64_t cols, float alpha, float* cblk, int64_t ldc) {
+  __m512 c[kSimdMr][2];
+  if (cols < kSimdNr) {
+    SimdAccumulate<ROWS, true>(kc, a, a_rs, a_ks, b, ldb, cols, c);
+  } else {
+    SimdAccumulate<ROWS, false>(kc, a, a_rs, a_ks, b, ldb, cols, c);
+    if constexpr (ROWS == kSimdMr) {
+      SimdFoldFull(c, alpha, cblk, ldc);
+      return;
+    }
+  }
+  // Edge's `C += alpha * acc`, written as the same vector expression so the compiler
+  // contracts it (or not) exactly as it does the scalar writeback.
+  const __mmask16 m0 = ColumnMask(cols);
+  const __mmask16 m1 = ColumnMask(cols - 16);
   const __m512 va = _mm512_set1_ps(alpha);
-  for (int64_t r = 0; r < kSimdMr; ++r) {
+  for (int64_t r = 0; r < ROWS; ++r) {
     float* p = cblk + r * ldc;
-    _mm512_storeu_ps(p, _mm512_fmadd_ps(va, c[r][0], _mm512_loadu_ps(p)));
-    _mm512_storeu_ps(p + 16, _mm512_fmadd_ps(va, c[r][1], _mm512_loadu_ps(p + 16)));
+    _mm512_mask_storeu_ps(p, m0, _mm512_maskz_loadu_ps(m0, p) + va * c[r][0]);
+    _mm512_mask_storeu_ps(p + 16, m1, _mm512_maskz_loadu_ps(m1, p + 16) + va * c[r][1]);
   }
 }
 
@@ -262,28 +317,51 @@ constexpr int64_t kSimdKc = 256;
 constexpr int64_t kSimdNc = 512;
 constexpr char kSimdIsaName[] = "avx2";
 
-inline void SimdAccumulate(int64_t kc, const float* __restrict__ apanel,
-                           const float* __restrict__ bpanel, __m256 c[kSimdMr][2]) {
-  for (int64_t r = 0; r < kSimdMr; ++r) {
+// Lanes [0, cols) of an 8-float vector, as the sign bits _mm256_maskload_ps reads.
+inline __m256i ColumnMask(int64_t cols) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(std::min<int64_t>(cols, 8))),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// c[r] = op(A)[r][0, kc) @ B[0, kc)[0, NR) for r < ROWS. With kEdge, B's lanes at or past
+// `cols` load as zero and touch no memory.
+template <int64_t ROWS, bool kEdge>
+inline void SimdAccumulate(int64_t kc, const float* __restrict__ a, int64_t a_rs,
+                           int64_t a_ks, const float* __restrict__ b, int64_t ldb,
+                           int64_t cols, __m256 c[kSimdMr][2]) {
+  const __m256i m0 = ColumnMask(cols);
+  const __m256i m1 = ColumnMask(cols - 8);
+  for (int64_t r = 0; r < ROWS; ++r) {
     c[r][0] = _mm256_setzero_ps();
     c[r][1] = _mm256_setzero_ps();
   }
   for (int64_t kk = 0; kk < kc; ++kk) {
-    const __m256 b0 = _mm256_loadu_ps(bpanel + kk * kSimdNr);
-    const __m256 b1 = _mm256_loadu_ps(bpanel + kk * kSimdNr + 8);
-    const float* a = apanel + kk * kSimdMr;
-    for (int64_t r = 0; r < kSimdMr; ++r) {
-      const __m256 av = _mm256_broadcast_ss(a + r);
+    const float* bk = b + kk * ldb;
+    const __m256 b0 = kEdge ? _mm256_maskload_ps(bk, m0) : _mm256_loadu_ps(bk);
+    const __m256 b1 = kEdge ? _mm256_maskload_ps(bk + 8, m1) : _mm256_loadu_ps(bk + 8);
+    const float* ak = a + kk * a_ks;
+    for (int64_t r = 0; r < ROWS; ++r) {
+      const __m256 av = _mm256_broadcast_ss(ak + r * a_rs);
       c[r][0] = _mm256_fmadd_ps(av, b0, c[r][0]);
       c[r][1] = _mm256_fmadd_ps(av, b1, c[r][1]);
     }
   }
 }
 
+// C[MR][NR] = fma(alpha, c, C): Direct's epilogue.
+inline void SimdFoldFull(__m256 c[kSimdMr][2], float alpha, float* cblk, int64_t ldc) {
+  const __m256 va = _mm256_set1_ps(alpha);
+  for (int64_t r = 0; r < kSimdMr; ++r) {
+    float* p = cblk + r * ldc;
+    _mm256_storeu_ps(p, _mm256_fmadd_ps(va, c[r][0], _mm256_loadu_ps(p)));
+    _mm256_storeu_ps(p + 8, _mm256_fmadd_ps(va, c[r][1], _mm256_loadu_ps(p + 8)));
+  }
+}
+
 void SimdMicroKernel(int64_t kc, const float* __restrict__ apanel,
                      const float* __restrict__ bpanel, float* __restrict__ acc) {
   __m256 c[kSimdMr][2];
-  SimdAccumulate(kc, apanel, bpanel, c);
+  SimdAccumulate<kSimdMr, false>(kc, apanel, 1, kSimdMr, bpanel, kSimdNr, kSimdNr, c);
   for (int64_t r = 0; r < kSimdMr; ++r) {
     _mm256_storeu_ps(acc + r * kSimdNr, c[r][0]);
     _mm256_storeu_ps(acc + r * kSimdNr + 8, c[r][1]);
@@ -294,12 +372,32 @@ void SimdMicroKernelDirect(int64_t kc, const float* __restrict__ apanel,
                            const float* __restrict__ bpanel, float alpha,
                            float* __restrict__ cblk, int64_t ldc) {
   __m256 c[kSimdMr][2];
-  SimdAccumulate(kc, apanel, bpanel, c);
+  SimdAccumulate<kSimdMr, false>(kc, apanel, 1, kSimdMr, bpanel, kSimdNr, kSimdNr, c);
+  SimdFoldFull(c, alpha, cblk, ldc);
+}
+
+template <int64_t ROWS>
+void SimdOneStripTile(int64_t kc, const float* a, int64_t a_rs, int64_t a_ks, const float* b,
+                      int64_t ldb, int64_t cols, float alpha, float* cblk, int64_t ldc) {
+  __m256 c[kSimdMr][2];
+  if (cols < kSimdNr) {
+    SimdAccumulate<ROWS, true>(kc, a, a_rs, a_ks, b, ldb, cols, c);
+  } else {
+    SimdAccumulate<ROWS, false>(kc, a, a_rs, a_ks, b, ldb, cols, c);
+    if constexpr (ROWS == kSimdMr) {
+      SimdFoldFull(c, alpha, cblk, ldc);
+      return;
+    }
+  }
+  // Edge's `C += alpha * acc`, written as the same vector expression so the compiler
+  // contracts it (or not) exactly as it does the scalar writeback.
+  const __m256i m0 = ColumnMask(cols);
+  const __m256i m1 = ColumnMask(cols - 8);
   const __m256 va = _mm256_set1_ps(alpha);
-  for (int64_t r = 0; r < kSimdMr; ++r) {
+  for (int64_t r = 0; r < ROWS; ++r) {
     float* p = cblk + r * ldc;
-    _mm256_storeu_ps(p, _mm256_fmadd_ps(va, c[r][0], _mm256_loadu_ps(p)));
-    _mm256_storeu_ps(p + 8, _mm256_fmadd_ps(va, c[r][1], _mm256_loadu_ps(p + 8)));
+    _mm256_maskstore_ps(p, m0, _mm256_maskload_ps(p, m0) + va * c[r][0]);
+    _mm256_maskstore_ps(p + 8, m1, _mm256_maskload_ps(p + 8, m1) + va * c[r][1]);
   }
 }
 
@@ -312,22 +410,30 @@ constexpr int64_t kSimdKc = 256;
 constexpr int64_t kSimdNc = 512;
 constexpr char kSimdIsaName[] = "scalar";
 
-void SimdMicroKernel(int64_t kc, const float* __restrict__ apanel,
-                     const float* __restrict__ bpanel, float* __restrict__ acc) {
-  for (int64_t r = 0; r < kSimdMr * kSimdNr; ++r) {
+// acc[r][j] = op(A)[r][0, kc) @ B[0, kc)[j] for r < ROWS, j < cols; acc rows are NR apart.
+template <int64_t ROWS>
+inline void SimdAccumulate(int64_t kc, const float* __restrict__ a, int64_t a_rs,
+                           int64_t a_ks, const float* __restrict__ b, int64_t ldb,
+                           int64_t cols, float* __restrict__ acc) {
+  for (int64_t r = 0; r < ROWS * kSimdNr; ++r) {
     acc[r] = 0.0f;
   }
   for (int64_t kk = 0; kk < kc; ++kk) {
-    const float* __restrict__ a = apanel + kk * kSimdMr;
-    const float* __restrict__ b = bpanel + kk * kSimdNr;
-    for (int64_t r = 0; r < kSimdMr; ++r) {
-      const float av = a[r];
+    const float* __restrict__ ak = a + kk * a_ks;
+    const float* __restrict__ bk = b + kk * ldb;
+    for (int64_t r = 0; r < ROWS; ++r) {
+      const float av = ak[r * a_rs];
       float* __restrict__ c = acc + r * kSimdNr;
-      for (int64_t j = 0; j < kSimdNr; ++j) {
-        c[j] += av * b[j];
+      for (int64_t j = 0; j < cols; ++j) {
+        c[j] += av * bk[j];
       }
     }
   }
+}
+
+void SimdMicroKernel(int64_t kc, const float* __restrict__ apanel,
+                     const float* __restrict__ bpanel, float* __restrict__ acc) {
+  SimdAccumulate<kSimdMr>(kc, apanel, 1, kSimdMr, bpanel, kSimdNr, kSimdNr, acc);
 }
 
 void SimdMicroKernelDirect(int64_t kc, const float* __restrict__ apanel,
@@ -343,7 +449,50 @@ void SimdMicroKernelDirect(int64_t kc, const float* __restrict__ apanel,
   }
 }
 
+// Direct's and Edge's epilogues are the same loop here.
+template <int64_t ROWS>
+void SimdOneStripTile(int64_t kc, const float* a, int64_t a_rs, int64_t a_ks, const float* b,
+                      int64_t ldb, int64_t cols, float alpha, float* cblk, int64_t ldc) {
+  float acc[ROWS * kSimdNr];
+  SimdAccumulate<ROWS>(kc, a, a_rs, a_ks, b, ldb, cols, acc);
+  for (int64_t r = 0; r < ROWS; ++r) {
+    float* __restrict__ p = cblk + r * ldc;
+    for (int64_t j = 0; j < cols; ++j) {
+      p[j] += alpha * acc[r * kSimdNr + j];
+    }
+  }
+}
+
 #endif
+
+using OneStripTileFn = void (*)(int64_t kc, const float* a, int64_t a_rs, int64_t a_ks,
+                                const float* b, int64_t ldb, int64_t cols, float alpha,
+                                float* cblk, int64_t ldc);
+
+template <size_t... R>
+constexpr std::array<OneStripTileFn, sizeof...(R)> OneStripTiles(std::index_sequence<R...>) {
+  return {&SimdOneStripTile<static_cast<int64_t>(R) + 1>...};
+}
+
+// C[m, n] += alpha * op(A) @ B for 1 <= m <= kSimdMr with no packing, on the tile of
+// height m: each NR column strip runs its KC blocks in order, so every C element gets the
+// FMA sequence and epilogue the packed macro loop would give it. Single-threaded, like the
+// packed loop on one MC block.
+void SimdGemmOneStrip(const float* a, int64_t lda, bool ta, const float* b, int64_t ldb,
+                      int64_t m, int64_t n, int64_t k, float alpha, float* c, int64_t ldc) {
+  static constexpr std::array<OneStripTileFn, kSimdMr> kTileByRows =
+      OneStripTiles(std::make_index_sequence<kSimdMr>());
+  const OneStripTileFn tile = kTileByRows[static_cast<size_t>(m - 1)];
+  const int64_t a_rs = ta ? 1 : lda;
+  const int64_t a_ks = ta ? lda : 1;
+  for (int64_t j0 = 0; j0 < n; j0 += kSimdNr) {
+    const int64_t cols = std::min(kSimdNr, n - j0);
+    for (int64_t pc = 0; pc < k; pc += kSimdKc) {
+      tile(std::min(kSimdKc, k - pc), a + pc * a_ks, a_rs, a_ks, b + pc * ldb + j0, ldb, cols,
+           alpha, c + j0, ldc);
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------------------
 // Macro loop, generic over the kernel descriptor.
@@ -360,7 +509,7 @@ static_assert(kSimdMc % kSimdMr == 0 && kSimdNc % kSimdNr == 0,
 
 // A register-tile kernel plus the blocking geometry its macro loop runs under. `direct`
 // may be null (partial tiles and kernels without a fused epilogue go through `edge` and
-// a clipped scalar writeback).
+// a clipped scalar writeback). `one_strip` may be null (every product is packed).
 struct GemmKernel {
   int64_t mr, nr, mc, kc, nc;
   void (*edge)(int64_t kc, const float* apanel, const float* bpanel, float* acc);
@@ -370,20 +519,33 @@ struct GemmKernel {
                  int64_t k0, int64_t kc, float* buf);
   void (*pack_b)(const float* b, int64_t ldb, bool tb, int64_t k0, int64_t kc, int64_t j0,
                  int64_t n_blk, float* buf);
+  void (*one_strip)(const float* a, int64_t lda, bool ta, const float* b, int64_t ldb,
+                    int64_t m, int64_t n, int64_t k, float alpha, float* c, int64_t ldc);
 };
 
 constexpr GemmKernel kBlockedKernel = {
-    kMr, kNr, kMc, kKc, kNc, &MicroKernel, nullptr, &PackA<kMr>, &PackB<kNr>};
+    kMr, kNr, kMc, kKc, kNc, &MicroKernel, nullptr, &PackA<kMr>, &PackB<kNr>, nullptr};
 
 constexpr GemmKernel kSimdKernel = {
-    kSimdMr,          kSimdNr,                kSimdMc,         kSimdKc,        kSimdNc,
-    &SimdMicroKernel, &SimdMicroKernelDirect, &PackA<kSimdMr>, &PackB<kSimdNr>};
+    kSimdMr, kSimdNr, kSimdMc, kSimdKc, kSimdNc, &SimdMicroKernel, &SimdMicroKernelDirect,
+    &PackA<kSimdMr>, &PackB<kSimdNr>, &SimdGemmOneStrip};
+
+// The one-strip rule: when op(A) fits in one MR strip and op(B) is B itself, the product
+// runs on the register tile straight from A and B. Packing pays only when a packed B
+// strip is reused across several A strips; with one A strip each is read once either way.
+bool RunsOneStrip(const GemmKernel& kern, int64_t m, bool tb) {
+  return kern.one_strip != nullptr && m <= kern.mr && !tb;
+}
 
 // C[m, n] (leading dimension ldc) += alpha * op(A) @ op(B). C must already hold its beta
 // contribution. Deterministic for fixed shapes regardless of threading.
 void PackedGemmCore(const GemmKernel& kern, const float* a, int64_t lda, bool ta,
                     const float* b, int64_t ldb, bool tb, int64_t m, int64_t n, int64_t k,
                     float alpha, float* c, int64_t ldc) {
+  if (RunsOneStrip(kern, m, tb)) {
+    kern.one_strip(a, lda, ta, b, ldb, m, n, k, alpha, c, ldc);
+    return;
+  }
   // Packing panels are pooled scratch: every minibatch re-runs the same GEMM shapes, so
   // these recycle instead of hitting the heap. PackA/PackB fully overwrite the regions
   // the microkernel reads, so the buffers stay uninitialized.
@@ -545,7 +707,8 @@ void Gemm(const Tensor& a, bool transpose_a, const Tensor& b, bool transpose_b, 
   LogicalDims(b, transpose_b, &k2, &n);
   PD_CHECK_EQ(k, k2) << "GEMM inner dimensions disagree: " << a.ShapeString() << " x "
                      << b.ShapeString();
-  if (UseNaiveKernels() || m * n * k <= kTinyGemmElems) {
+  if (UseNaiveKernels() ||
+      (!RunsOneStrip(ActiveGemmKernel(), m, transpose_b) && m * n * k <= kTinyGemmElems)) {
     ref::Gemm(a, transpose_a, b, transpose_b, alpha, beta, out);
     return;
   }

@@ -4,6 +4,7 @@
 // uninterrupted run bitwise (stateless optimizer; see DESIGN.md "Fault tolerance").
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <unistd.h>
@@ -408,6 +409,30 @@ TEST_F(FaultInjectionTest, DroppedMessageTriggersProgressWatchdog) {
   // A lost message implicates nobody in particular: the global progress stall fires.
   EXPECT_EQ(faulty->failures()[0].stage, -1);
   ExpectBitwiseEqual(*clean, *faulty);
+}
+
+TEST_F(FaultInjectionTest, EpochEndsWhenWorkersFinishNotWhenWatchdogPolls) {
+  // The watchdog is woken once the workers are joined, so a long poll period does not
+  // stretch the epoch: a tiny model's epoch takes milliseconds, far below one 500 ms poll.
+  const Dataset data = MakeGaussianMixture(3, 4, 48, 0.4, 7);
+  SoftmaxCrossEntropy loss;
+  Sgd sgd(0.05);
+  Rng rng(1);
+  const auto model = BuildMlpClassifier(4, {8}, 3, &rng);
+  PipelineTrainer trainer(*model, MakeStraightPlan(static_cast<int>(model->size()), {2}),
+                          &loss, sgd, &data, 8, /*seed=*/5);
+  CheckpointManager manager(Subdir("ckpt"));
+  RecoveryOptions options = FastRecovery();
+  options.watchdog_poll_ms = 500;
+  trainer.EnableRecovery(&manager, options);
+  trainer.TrainEpoch();  // warm-up
+  const auto start = std::chrono::steady_clock::now();
+  const EpochStats stats = trainer.TrainEpoch();
+  const double ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_EQ(stats.failures_detected, 0);
+  EXPECT_LT(ms, 250.0) << "the epoch waited for the watchdog's poll period";
 }
 
 TEST_F(FaultInjectionTest, StallDelaysWithoutTriggeringRecovery) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,6 +17,7 @@
 #include "src/graph/models.h"
 #include "src/obs/metrics.h"
 #include "src/planner/plan.h"
+#include "src/tensor/init.h"
 #include "src/tensor/ops.h"
 
 namespace pipedream {
@@ -62,6 +64,34 @@ TEST_P(ServingTest, InferMatchesDirectForward) {
   }
   server.Stop();
   EXPECT_EQ(server.Stats().completed, 4);
+}
+
+TEST_P(ServingTest, ServingSizeModelMatchesDirectForwardBitwise) {
+  // The serving benchmark's model and cut: 64 -> 5 x 256 -> 16, stages [0, 6) and [6, 11).
+  // Requests of 1 row up to one past the simd tile's height (MR = 14 on AVX-512, 6
+  // otherwise) cover both GEMM paths a Dense forward can take, one strip and packed.
+  const int64_t mr = std::strcmp(SimdKernelIsa(), "avx512") == 0 ? 14 : 6;
+  Rng rng(11);
+  const auto model = BuildMlpClassifier(64, std::vector<int64_t>(5, 256), 16, &rng);
+  const auto plan = MakeStraightPlan(static_cast<int>(model->size()), {6});
+  PipelineServer server(*model, plan, Options());
+  ASSERT_TRUE(server.Start().ok());
+
+  Rng data_rng(12);
+  for (int64_t rows = 1; rows <= mr + 1; ++rows) {
+    Tensor x({rows, 64});
+    InitGaussian(&x, 1.0f, &data_rng);
+    const Tensor got = server.Infer(x);
+    ModelContext ctx;
+    const Tensor want = model->Forward(x, &ctx, /*training=*/false);
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          static_cast<size_t>(want.numel()) * sizeof(float)),
+              0)
+        << rows << "-row request: staged serving must reproduce the monolithic forward";
+  }
+  server.Stop();
+  EXPECT_EQ(server.Stats().completed, mr + 1);
 }
 
 TEST_P(ServingTest, PipelinedStreamPreservesRequestResultPairing) {

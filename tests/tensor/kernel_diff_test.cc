@@ -70,7 +70,8 @@ void RunGemmCase(const GemmCase& c, uint64_t seed) {
 
 TEST(KernelDiffTest, GemmRandomizedShapes) {
   // Shapes straddle every blocking boundary: below one microkernel tile, non-multiples of
-  // MR=6 / NR=16 / MC=96 / KC=256 / NC=512, and just past the packing panels.
+  // both tiles (blocked MR=6 / NR=16 / MC=96; simd MR=14 / NR=32 / MC=140 on AVX-512 and
+  // 6 x 16 / 96 otherwise) and of KC=256 / NC=512, and just past the packing panels.
   const std::vector<std::array<int64_t, 3>> shapes = {
       {1, 1, 1},    {1, 7, 1},    {1, 300, 257}, {257, 300, 1}, {5, 17, 9},
       {6, 16, 16},  {7, 17, 17},  {64, 64, 64},  {95, 257, 97}, {96, 256, 512},
@@ -354,6 +355,79 @@ INSTANTIATE_TEST_SUITE_P(AllVariants, KernelVariantDiffTest,
                          [](const ::testing::TestParamInfo<KernelVariant>& param) {
                            return KernelVariantName(param.param);
                          });
+
+// The simd kernel's register tile and K block: 14 x 32 on AVX-512, 6 x 16 on AVX2 and the
+// scalar fallback, KC = 256 everywhere.
+struct SimdTile {
+  int64_t mr, nr, kc;
+};
+
+SimdTile ActiveSimdTile() {
+  return std::strcmp(SimdKernelIsa(), "avx512") == 0 ? SimdTile{14, 32, 256}
+                                                     : SimdTile{6, 16, 256};
+}
+
+// The first `rows` rows of op(t), stored like t: rows of t, or columns of t when `transpose`.
+Tensor FirstRows(const Tensor& t, bool transpose, int64_t rows) {
+  const int64_t cols = transpose ? t.dim(0) : t.dim(1);
+  Tensor out(transpose ? std::vector<int64_t>{cols, rows} : std::vector<int64_t>{rows, cols});
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t j = 0; j < cols; ++j) {
+      if (transpose) {
+        out.data()[j * rows + i] = t.data()[j * t.dim(1) + i];
+      } else {
+        out.data()[i * cols + j] = t.data()[i * cols + j];
+      }
+    }
+  }
+  return out;
+}
+
+// A row of C must not depend on how many rows its product has: the first m rows of a
+// product on m + 2 MR rows (packed) must equal, bit for bit, the product of those m rows
+// alone (one strip for m <= MR, run unpacked). Pipelined serving relies on it when it
+// reproduces a forward over other row counts. alpha = 1 keeps the two epilogues equal:
+// fma(1, acc, C) rounds exactly like C + 1 * acc.
+TEST(KernelDiffTest, SimdRowBitsDoNotDependOnProductHeight) {
+  SetKernelVariantForTesting(KernelVariant::kSimd);
+  const SimdTile tile = ActiveSimdTile();
+  const int64_t max_rows = 3 * tile.mr + 1;
+  Rng rng(9000);
+  int compared = 0;
+  for (const int64_t n : {int64_t{1}, tile.nr - 1, tile.nr, tile.nr + 1, int64_t{256}}) {
+    for (const int64_t k : {int64_t{1}, tile.kc - 1, tile.kc, tile.kc + 1}) {
+      const Tensor b = RandomTensor({k, n}, &rng);
+      const Tensor c0 = RandomTensor({max_rows, n}, &rng);
+      for (const bool ta : {false, true}) {
+        const Tensor a = RandomTensor(
+            ta ? std::vector<int64_t>{k, max_rows} : std::vector<int64_t>{max_rows, k}, &rng);
+        for (int64_t m = 1; m <= tile.mr + 1; ++m) {
+          // Both products must run the kernel: the taller one packed, the shorter one as
+          // one strip or packed. Products under 32^3 that are not one strip run the
+          // reference loop instead.
+          const int64_t tall = m + 2 * tile.mr;
+          if (tall * n * k <= 32 * 32 * 32 || (m > tile.mr && m * n * k <= 32 * 32 * 32)) {
+            continue;
+          }
+          for (const float beta : {0.0f, 1.0f}) {
+            Tensor c_tall = FirstRows(c0, false, tall);
+            Tensor c_short = FirstRows(c0, false, m);
+            Gemm(FirstRows(a, ta, tall), ta, b, false, 1.0f, beta, &c_tall);
+            Gemm(FirstRows(a, ta, m), ta, b, false, 1.0f, beta, &c_short);
+            EXPECT_EQ(std::memcmp(c_short.data(), c_tall.data(),
+                                  static_cast<size_t>(m * n) * sizeof(float)),
+                      0)
+                << "m=" << m << " n=" << n << " k=" << k << (ta ? " ta" : "")
+                << " beta=" << beta;
+            ++compared;
+          }
+        }
+      }
+    }
+  }
+  ClearKernelVariantForTesting();
+  EXPECT_GT(compared, 0);
+}
 
 // The PIPEDREAM_NAIVE_KERNELS escape hatch must reproduce the reference bit-for-bit.
 TEST(KernelDiffTest, NaiveSwitchRoutesToReference) {
