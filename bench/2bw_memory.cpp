@@ -161,18 +161,13 @@ FrontierCell RunFrontierCell(const Dataset& data, const ModelProfile& profile,
   const auto model = MakeModel(&rng);
   const int layers = static_cast<int>(model->size());
   const int num_stages = schedule == ScheduleKind::kInterleaved ? chunks * depth : depth;
-  PipelinePlan plan = [&] {
-    if (schedule == ScheduleKind::kInterleaved) {
-      // k chunk-stages per worker, balanced by profiled compute (the frontier idiom).
-      return MakeBalancedStraightPlan(profile, num_stages);
-    }
-    std::vector<int> cuts;
-    for (int s = 1; s < depth; ++s) {
-      cuts.push_back(std::max(1, layers * s / depth));
-    }
-    return MakeStraightPlan(layers, cuts);
-  }();
-  plan = WithModes(plan, mode, recompute);
+  // Every cell, interleaved chunk-stages included, is cut by layer count: a cut balanced on
+  // the wall-clock profile moves from run to run, and the peaks move with it.
+  std::vector<int> cuts;
+  for (int s = 1; s < num_stages; ++s) {
+    cuts.push_back(std::max(1, layers * s / num_stages));
+  }
+  const PipelinePlan plan = WithModes(MakeStraightPlan(layers, cuts), mode, recompute);
 
   SoftmaxCrossEntropy loss;
   Sgd sgd(0.01);

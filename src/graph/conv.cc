@@ -51,14 +51,22 @@ Tensor Conv2D::Forward(const Tensor& input, LayerContext* ctx, bool training) {
 }
 
 Tensor Conv2D::Backward(const Tensor& grad_output, LayerContext* ctx) {
+  Tensor grad_input;
+  RunBackward(grad_output, ctx, &grad_input);
+  return grad_input;
+}
+
+void Conv2D::BackwardParams(const Tensor& grad_output, LayerContext* ctx) {
+  RunBackward(grad_output, ctx, /*grad_input=*/nullptr);
+}
+
+void Conv2D::RunBackward(const Tensor& grad_output, LayerContext* ctx, Tensor* grad_input) {
   PD_CHECK_EQ(ctx->saved.size(), 1u) << name_ << ": backward without matching forward";
   const Tensor& input = ctx->saved[0];
   const ConvGeometry g = GeometryFor(input);
-  Tensor grad_input;
   Conv2dBackward(input, weight_.value, grad_output, g, &weight_.grad, &bias_.grad,
-                 &grad_input);
+                 grad_input);
   ctx->Clear();
-  return grad_input;
 }
 
 std::unique_ptr<Layer> Conv2D::Clone() const {

@@ -20,6 +20,8 @@ class Conv2D : public Layer {
   const std::string& name() const override { return name_; }
   Tensor Forward(const Tensor& input, LayerContext* ctx, bool training) override;
   Tensor Backward(const Tensor& grad_output, LayerContext* ctx) override;
+  // dW and db only: no data-gradient convolution.
+  void BackwardParams(const Tensor& grad_output, LayerContext* ctx) override;
   std::vector<Parameter*> Params() override { return {&weight_, &bias_}; }
   std::unique_ptr<Layer> Clone() const override;
 
@@ -28,6 +30,9 @@ class Conv2D : public Layer {
 
  private:
   Conv2D(const Conv2D&) = default;
+
+  // Backward with the input gradient written to *grad_input, or not computed when null.
+  void RunBackward(const Tensor& grad_output, LayerContext* ctx, Tensor* grad_input);
 
   // Kernel geometry for an input batch (validates channel count).
   ConvGeometry GeometryFor(const Tensor& input) const;

@@ -28,17 +28,21 @@ Tensor Dense::Forward(const Tensor& input, LayerContext* ctx, bool training) {
 }
 
 Tensor Dense::Backward(const Tensor& grad_output, LayerContext* ctx) {
+  BackwardParams(grad_output, ctx);
+  // dx = dy W^T
+  Tensor grad_input;
+  Gemm(grad_output, false, weight_.value, true, 1.0f, 0.0f, &grad_input);
+  return grad_input;
+}
+
+void Dense::BackwardParams(const Tensor& grad_output, LayerContext* ctx) {
   PD_CHECK_EQ(ctx->saved.size(), 1u) << name_ << ": backward without matching forward";
   const Tensor& input = ctx->saved[0];
   // dW += x^T dy
   Gemm(input, true, grad_output, false, 1.0f, 1.0f, &weight_.grad);
   // db += column sums of dy
   AccumulateColumnSums(grad_output, &bias_.grad);
-  // dx = dy W^T
-  Tensor grad_input;
-  Gemm(grad_output, false, weight_.value, true, 1.0f, 0.0f, &grad_input);
   ctx->Clear();
-  return grad_input;
 }
 
 std::unique_ptr<Layer> Dense::Clone() const { return std::unique_ptr<Layer>(new Dense(*this)); }

@@ -17,6 +17,8 @@ class Dense : public Layer {
   const std::string& name() const override { return name_; }
   Tensor Forward(const Tensor& input, LayerContext* ctx, bool training) override;
   Tensor Backward(const Tensor& grad_output, LayerContext* ctx) override;
+  // dW and db only: skips the dy W^T product.
+  void BackwardParams(const Tensor& grad_output, LayerContext* ctx) override;
   std::vector<Parameter*> Params() override { return {&weight_, &bias_}; }
   std::unique_ptr<Layer> Clone() const override;
 

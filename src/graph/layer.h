@@ -67,6 +67,14 @@ class Layer {
   // the matching Forward call; layers may consume (move out of) its contents.
   virtual Tensor Backward(const Tensor& grad_output, LayerContext* ctx) = 0;
 
+  // Backward for a layer whose input gradient nobody reads (the input stage's first
+  // parameterized layer): accumulates exactly the parameter gradients Backward would, bit
+  // for bit, and consumes ctx the same way. Overrides skip the input-gradient work; the
+  // default runs Backward and drops its result.
+  virtual void BackwardParams(const Tensor& grad_output, LayerContext* ctx) {
+    Backward(grad_output, ctx);
+  }
+
   // Trainable parameters; empty for stateless layers.
   virtual std::vector<Parameter*> Params() { return {}; }
 

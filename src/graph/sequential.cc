@@ -23,6 +23,28 @@ Tensor Sequential::Backward(const Tensor& grad_output, ModelContext* ctx) const 
   return current;
 }
 
+void Sequential::BackwardParams(const Tensor& grad_output, ModelContext* ctx) const {
+  PD_CHECK_EQ(ctx->per_layer.size(), layers_.size())
+      << "backward called with a context not produced by this model's forward";
+  const size_t first = FirstParameterizedLayer();
+  if (first == layers_.size()) {
+    return;
+  }
+  Tensor current = grad_output;
+  for (size_t i = layers_.size() - 1; i > first; --i) {
+    current = layers_[i]->Backward(current, &ctx->per_layer[i]);
+  }
+  layers_[first]->BackwardParams(current, &ctx->per_layer[first]);
+}
+
+size_t Sequential::FirstParameterizedLayer() const {
+  size_t first = 0;
+  while (first < layers_.size() && layers_[first]->Params().empty()) {
+    ++first;
+  }
+  return first;
+}
+
 std::vector<Parameter*> Sequential::Params() const {
   std::vector<Parameter*> params;
   for (const auto& layer : layers_) {

@@ -44,6 +44,16 @@ class Sequential {
   // Runs all layers in reverse, consuming ctx. Accumulates parameter gradients.
   Tensor Backward(const Tensor& grad_output, ModelContext* ctx) const;
 
+  // Backward for a slice whose input gradient nobody reads (PipeDream's input stage, an
+  // ASP worker): runs the layers in reverse down to the first one with parameters, which
+  // runs Layer::BackwardParams. The parameterless layers below it are not run and their
+  // contexts are left as they are. Parameter gradients are bitwise those of Backward.
+  void BackwardParams(const Tensor& grad_output, ModelContext* ctx) const;
+
+  // Index of the first layer that has parameters, or size() when none does: the layer at
+  // which BackwardParams stops.
+  size_t FirstParameterizedLayer() const;
+
   // All trainable parameters, in layer order.
   std::vector<Parameter*> Params() const;
 

@@ -7,6 +7,20 @@
 #include "src/optim/state.h"
 
 namespace pipedream {
+namespace {
+
+// Restrict parameters let the loop vectorize without an aliasing check.
+void AdamUpdate(int64_t n, float lr, float b1, float b2, float eps,
+                const float* __restrict__ grad, float* __restrict__ m, float* __restrict__ v,
+                float* __restrict__ value) {
+  for (int64_t j = 0; j < n; ++j) {
+    m[j] = StateValue(b1 * m[j] + (1.0f - b1) * grad[j]);
+    v[j] = StateValue(b2 * v[j] + (1.0f - b2) * grad[j] * grad[j]);
+    value[j] -= lr * m[j] / (std::sqrt(v[j]) + eps);
+  }
+}
+
+}  // namespace
 
 void Adam::Step(const std::vector<Parameter*>& params) {
   if (m_.size() != params.size()) {
@@ -29,16 +43,9 @@ void Adam::Step(const std::vector<Parameter*>& params) {
   for (size_t i = 0; i < params.size(); ++i) {
     Parameter* p = params[i];
     PD_CHECK(p->grad.SameShape(p->value)) << p->name << ": grad/value shape mismatch";
-    float* value = p->value.data();
-    const float* grad = std::as_const(p->grad).data();  // const read: must not detach the COW-shared grad
-    float* m = m_[i].data();
-    float* v = v_[i].data();
-    const int64_t n = p->value.numel();
-    for (int64_t j = 0; j < n; ++j) {
-      m[j] = StateValue(b1 * m[j] + (1.0f - b1) * grad[j]);
-      v[j] = StateValue(b2 * v[j] + (1.0f - b2) * grad[j] * grad[j]);
-      value[j] -= lr * m[j] / (std::sqrt(v[j]) + eps);
-    }
+    // A const read: it must not detach the COW-shared grad.
+    AdamUpdate(p->value.numel(), lr, b1, b2, eps, std::as_const(p->grad).data(),
+               m_[i].data(), v_[i].data(), p->value.data());
   }
 }
 

@@ -8,6 +8,18 @@
 #include "src/tensor/ops.h"
 
 namespace pipedream {
+namespace {
+
+// Restrict parameters let the loop vectorize without an aliasing check.
+void LarsUpdate(int64_t n, float lr, float mu, float wd, const float* __restrict__ grad,
+                float* __restrict__ vel, float* __restrict__ value) {
+  for (int64_t j = 0; j < n; ++j) {
+    vel[j] = StateValue(mu * vel[j] + lr * (grad[j] + wd * value[j]));
+    value[j] -= vel[j];
+  }
+}
+
+}  // namespace
 
 void Lars::Step(const std::vector<Parameter*>& params) {
   if (velocity_.size() != params.size()) {
@@ -33,14 +45,9 @@ void Lars::Step(const std::vector<Parameter*>& params) {
                  (g_norm + weight_decay_ * w_norm);
     }
     const float lr = static_cast<float>(local_lr);
-    float* value = p->value.data();
-    const float* grad = std::as_const(p->grad).data();  // const read: must not detach the COW-shared grad
-    float* vel = velocity_[i].data();
-    const int64_t n = p->value.numel();
-    for (int64_t j = 0; j < n; ++j) {
-      vel[j] = StateValue(mu * vel[j] + lr * (grad[j] + wd * value[j]));
-      value[j] -= vel[j];
-    }
+    // A const read: it must not detach the COW-shared grad.
+    LarsUpdate(p->value.numel(), lr, mu, wd, std::as_const(p->grad).data(),
+               velocity_[i].data(), p->value.data());
   }
 }
 

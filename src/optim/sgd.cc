@@ -6,6 +6,25 @@
 #include "src/optim/state.h"
 
 namespace pipedream {
+namespace {
+
+// Restrict parameters let the loops vectorize without an aliasing check.
+void PlainUpdate(int64_t n, float lr, float wd, const float* __restrict__ grad,
+                 float* __restrict__ value) {
+  for (int64_t j = 0; j < n; ++j) {
+    value[j] -= lr * (grad[j] + wd * value[j]);
+  }
+}
+
+void MomentumUpdate(int64_t n, float lr, float mu, float wd, const float* __restrict__ grad,
+                    float* __restrict__ vel, float* __restrict__ value) {
+  for (int64_t j = 0; j < n; ++j) {
+    vel[j] = StateValue(mu * vel[j] + grad[j] + wd * value[j]);
+    value[j] -= lr * vel[j];
+  }
+}
+
+}  // namespace
 
 void Sgd::Step(const std::vector<Parameter*>& params) {
   if (momentum_ != 0.0 && velocity_.size() != params.size()) {
@@ -21,19 +40,13 @@ void Sgd::Step(const std::vector<Parameter*>& params) {
   for (size_t i = 0; i < params.size(); ++i) {
     Parameter* p = params[i];
     PD_CHECK(p->grad.SameShape(p->value)) << p->name << ": grad/value shape mismatch";
-    float* value = p->value.data();
-    const float* grad = std::as_const(p->grad).data();  // const read: must not detach the COW-shared grad
+    // A const read: it must not detach the COW-shared grad.
+    const float* grad = std::as_const(p->grad).data();
     const int64_t n = p->value.numel();
     if (momentum_ == 0.0) {
-      for (int64_t j = 0; j < n; ++j) {
-        value[j] -= lr * (grad[j] + wd * value[j]);
-      }
+      PlainUpdate(n, lr, wd, grad, p->value.data());
     } else {
-      float* vel = velocity_[i].data();
-      for (int64_t j = 0; j < n; ++j) {
-        vel[j] = StateValue(mu * vel[j] + grad[j] + wd * value[j]);
-        value[j] -= lr * vel[j];
-      }
+      MomentumUpdate(n, lr, mu, wd, grad, velocity_[i].data(), p->value.data());
     }
   }
 }

@@ -27,6 +27,9 @@ ModelProfile ProfileModel(const Sequential& model, const Tensor& sample_input,
   profile.minibatch_size = sample_input.dim(0);
   profile.layers.resize(n);
 
+  // Layer 0 always runs on the input stage, so the backward is timed the way that stage
+  // runs it (Sequential::BackwardParams).
+  const size_t first_param = model.FirstParameterizedLayer();
   std::vector<LayerContext> contexts(n);
   const int total_passes = options.warmup_batches + options.measure_batches;
   for (int pass = 0; pass < total_passes; ++pass) {
@@ -45,9 +48,14 @@ ModelProfile ProfileModel(const Sequential& model, const Tensor& sample_input,
     Tensor grad(current.shape());
     grad.Fill(1e-3f);
     model.ZeroGrads();
-    for (size_t i = n; i > 0; --i) {
+    for (size_t i = n; i > first_param; --i) {
+      Layer* layer = model.layer(i - 1);
       const double start = NowSeconds();
-      grad = model.layer(i - 1)->Backward(grad, &contexts[i - 1]);
+      if (i - 1 == first_param) {
+        layer->BackwardParams(grad, &contexts[i - 1]);
+      } else {
+        grad = layer->Backward(grad, &contexts[i - 1]);
+      }
       if (timed) {
         profile.layers[i - 1].bwd_seconds += NowSeconds() - start;
       }

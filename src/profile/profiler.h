@@ -19,7 +19,9 @@ struct ProfilerOptions {
 
 // Runs `measure_batches` forward+backward passes of `model` on `sample_input` (a
 // representative minibatch) and returns a ModelProfile with measured times and exact sizes.
-// The backward pass is seeded with a uniform gradient of the output's shape.
+// The backward pass is seeded with a uniform gradient of the output's shape and runs as the
+// input stage runs it (Sequential::BackwardParams): the first parameterized layer's
+// bwd_seconds covers its parameter gradients only, and the layers below it record 0.
 ModelProfile ProfileModel(const Sequential& model, const Tensor& sample_input,
                           const std::string& model_name, const ProfilerOptions& options = {});
 

@@ -126,7 +126,7 @@ AspEpochStats AspTrainer::TrainEpoch() {
       Tensor targets = y.rank() > 1 ? y.Reshaped({y.numel()}) : y;
       loss_sums[static_cast<size_t>(worker)] += loss_->Compute(out, targets, &grad);
       ++loss_counts[static_cast<size_t>(worker)];
-      local->Backward(grad, &ctx);
+      local->BackwardParams(grad, &ctx);  // the batch's own gradient is never read
       // Ship the gradient to the parameter server; apply-to-whatever-is-current happens
       // there, in arrival order.
       PipeMessage message;

@@ -446,7 +446,13 @@ void PipelineTrainer::StageRuntime::DoBackward(PipeMessage message) {
   if (accumulated == 0) {
     model->ZeroGrads();  // gradients aggregate until the next Step
   }
-  Tensor grad_in = model->Backward(message.payload, ctx);
+  Tensor grad_in;
+  if (stage == 0) {
+    // The input stage sends nothing upstream, so it computes no input gradient.
+    model->BackwardParams(message.payload, ctx);
+  } else {
+    grad_in = model->Backward(message.payload, ctx);
+  }
   contexts.erase(minibatch);
   weights->EndBackward(minibatch);
   ++accumulated;

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -1059,6 +1060,7 @@ float VectorSum(const float* p, int64_t n) {
   return total;
 }
 
+// A null grad_input skips the data gradient (the flipped-weight convolution).
 void DirectConvBackward(const Tensor& input, const Tensor& weight, const Tensor& grad_output,
                         const ConvGeometry& g, float* grad_weight, float* grad_bias,
                         float* grad_input) {
@@ -1095,6 +1097,9 @@ void DirectConvBackward(const Tensor& input, const Tensor& weight, const Tensor&
   }
   for (int64_t i = 0; i < weights; ++i) {
     grad_weight[i] += HorizontalSum(LoadU(partials.data() + i * kLanes));
+  }
+  if (grad_input == nullptr) {
+    return;
   }
   const DirectConv dt{g.batch, g.out_channels, d.out_h(), d.out_w(), g.in_channels, g.kernel,
                       g.kernel - 1 - g.padding};
@@ -1153,7 +1158,11 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight, const Tensor& gra
   g.Check(input, weight, *grad_bias);
   PD_CHECK(grad_weight->SameShape(weight));
   if (UseNaiveKernels()) {
-    ref::Conv2dBackward(input, weight, grad_output, g, grad_weight, grad_bias, grad_input);
+    // The oracle always computes the data gradient; without a destination it lands in
+    // scratch.
+    Tensor scratch;
+    ref::Conv2dBackward(input, weight, grad_output, g, grad_weight, grad_bias,
+                        grad_input != nullptr ? grad_input : &scratch);
     return;
   }
   const int64_t out_h = g.out_h();
@@ -1166,23 +1175,26 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight, const Tensor& gra
   PD_CHECK_EQ(grad_output.dim(2), out_h);
   PD_CHECK_EQ(grad_output.dim(3), out_w);
   if (UseDirectConv(g)) {
-    if (!grad_input->SameShape(input)) {
+    if (grad_input != nullptr && !grad_input->SameShape(input)) {
       *grad_input = Tensor::Uninitialized(input.shape());  // fully written
     }
     DirectConvBackward(input, weight, grad_output, g, grad_weight->data(), grad_bias->data(),
-                       grad_input->data());
+                       grad_input != nullptr ? grad_input->data() : nullptr);
     return;
   }
-  if (!grad_input->SameShape(input)) {
-    *grad_input = Tensor(input.shape());
-  } else {
-    grad_input->SetZero();
+  std::optional<PoolScratch> dcol;  // the data gradient's columns, zeroed per sample below
+  if (grad_input != nullptr) {
+    if (!grad_input->SameShape(input)) {
+      *grad_input = Tensor(input.shape());
+    } else {
+      grad_input->SetZero();
+    }
+    dcol.emplace(patch * spatial);
   }
   // Weight/bias gradients accumulate across samples in batch order (deterministic, and
   // the order the naive reference uses), so this loop stays sequential; the GEMMs inside
   // parallelize over the pool.
-  PoolScratch col(patch * spatial);   // fully written by Im2Col
-  PoolScratch dcol(patch * spatial);  // zeroed per sample below
+  PoolScratch col(patch * spatial);  // fully written by Im2Col
   for (int64_t n = 0; n < g.batch; ++n) {
     const float* gslab = grad_output.data() + n * g.out_channels * spatial;
     for (int64_t oc = 0; oc < g.out_channels; ++oc) {
@@ -1197,11 +1209,14 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight, const Tensor& gra
     // dW[OC, patch] += g[OC, spatial] @ col[patch, spatial]^T.
     GemmCore(gslab, spatial, false, col.data(), spatial, true, g.out_channels, patch,
              spatial, 1.0f, grad_weight->data(), patch);
+    if (!dcol) {
+      continue;
+    }
     // dcol[patch, spatial] = W[OC, patch]^T @ g[OC, spatial], scattered back via col2im.
-    std::fill(dcol.data(), dcol.data() + patch * spatial, 0.0f);
+    std::fill(dcol->data(), dcol->data() + patch * spatial, 0.0f);
     GemmCore(weight.data(), patch, true, gslab, spatial, false, patch, spatial,
-             g.out_channels, 1.0f, dcol.data(), spatial);
-    Col2Im(dcol.data(), g, grad_input->data() + n * g.in_channels * g.in_h * g.in_w);
+             g.out_channels, 1.0f, dcol->data(), spatial);
+    Col2Im(dcol->data(), g, grad_input->data() + n * g.in_channels * g.in_h * g.in_w);
   }
 }
 

@@ -87,6 +87,10 @@ void Conv2dForward(const Tensor& input, const Tensor& weight, const Tensor& bias
 
 // Accumulates grad_weight / grad_bias (+=, caller zeroes between steps, matching Parameter
 // semantics) and overwrites grad_input. Sums over samples run in batch order.
+// grad_input may be null: no data gradient is computed then (the direct path skips its
+// flipped-weight convolution, the im2col path its dcol GEMM and col2im), and grad_weight /
+// grad_bias come out bitwise as with one. The naive dispatch still runs the full reference
+// backward into a local scratch tensor.
 void Conv2dBackward(const Tensor& input, const Tensor& weight, const Tensor& grad_output,
                     const ConvGeometry& g, Tensor* grad_weight, Tensor* grad_bias,
                     Tensor* grad_input);

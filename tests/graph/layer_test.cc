@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "src/common/rng.h"
@@ -47,6 +48,36 @@ TEST(DenseTest, CloneIsIndependentDeepCopy) {
   // ...but modifying the clone leaves the original untouched.
   clone->Params()[0]->value.Fill(9.0f);
   EXPECT_NE(layer.Params()[0]->value[0], 9.0f);
+}
+
+// The input stage's parameters-only backward must accumulate exactly the parameter
+// gradients the full backward does, from zero and on top of earlier ones.
+TEST(DenseTest, BackwardParamsMatchesBackwardBitwise) {
+  Rng rng(3);
+  Dense full("fc", 37, 19, &rng);
+  const auto params_only = full.Clone();
+  Tensor in({9, 37});
+  InitGaussian(&in, 1.0f, &rng);
+  Tensor grad_out({9, 19});
+  InitGaussian(&grad_out, 1.0f, &rng);
+  full.ZeroGrads();
+  params_only->ZeroGrads();
+  for (int pass = 0; pass < 2; ++pass) {
+    LayerContext ctx_full;
+    LayerContext ctx_params;
+    full.Forward(in, &ctx_full, true);
+    params_only->Forward(in, &ctx_params, true);
+    full.Backward(grad_out, &ctx_full);
+    params_only->BackwardParams(grad_out, &ctx_params);
+    EXPECT_TRUE(ctx_params.saved.empty()) << "the stash is consumed";
+    for (size_t i = 0; i < 2; ++i) {
+      const Tensor& want = full.Params()[i]->grad;
+      const Tensor& got = params_only->Params()[i]->grad;
+      ASSERT_TRUE(got.SameShape(want));
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), static_cast<size_t>(want.SizeBytes())), 0)
+          << full.Params()[i]->name << " after pass " << pass;
+    }
+  }
 }
 
 TEST(ActivationTest, ReluClampsNegatives) {

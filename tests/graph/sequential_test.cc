@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/graph/dense.h"
 #include "src/graph/models.h"
@@ -111,6 +116,99 @@ TEST(SequentialTest, CloneProducesIdenticalOutputs) {
   const Tensor a = model->Forward(in, &c1, false);
   const Tensor b = clone->Forward(in, &c2, false);
   EXPECT_EQ(MaxAbsDiff(a, b), 0.0);
+}
+
+// An identity layer that counts the backward calls it receives; with `trainable` it owns
+// one parameter, so Sequential::BackwardParams treats it as a parameterized layer.
+class SpyLayer : public Layer {
+ public:
+  SpyLayer(std::string name, bool trainable) : name_(std::move(name)), trainable_(trainable) {
+    param_.name = name_ + ".p";
+    param_.value = Tensor({1});
+    param_.ZeroGrad();
+  }
+
+  const std::string& name() const override { return name_; }
+  Tensor Forward(const Tensor& input, LayerContext* ctx, bool training) override {
+    return input;
+  }
+  Tensor Backward(const Tensor& grad_output, LayerContext* ctx) override {
+    ++backward_calls;
+    return grad_output;
+  }
+  void BackwardParams(const Tensor& grad_output, LayerContext* ctx) override {
+    ++backward_params_calls;
+  }
+  std::vector<Parameter*> Params() override {
+    return trainable_ ? std::vector<Parameter*>{&param_} : std::vector<Parameter*>{};
+  }
+  std::unique_ptr<Layer> Clone() const override {
+    return std::make_unique<SpyLayer>(name_, trainable_);
+  }
+
+  int backward_calls = 0;
+  int backward_params_calls = 0;
+
+ private:
+  std::string name_;
+  bool trainable_;
+  Parameter param_;
+};
+
+// Runs a forward of a ones input and then BackwardParams with a ones gradient.
+void RunBackwardParams(const Sequential& model) {
+  Tensor in({2, 4});
+  in.Fill(1.0f);
+  ModelContext ctx;
+  const Tensor out = model.Forward(in, &ctx, true);
+  Tensor grad(out.shape());
+  grad.Fill(1.0f);
+  model.BackwardParams(grad, &ctx);
+}
+
+TEST(SequentialTest, BackwardParamsSkipsLayersBelowFirstParameterizedLayer) {
+  Rng rng(1);
+  Sequential model;
+  auto spy = std::make_unique<SpyLayer>("below", /*trainable=*/false);
+  SpyLayer* below = spy.get();
+  model.Add(std::move(spy));
+  model.Add(std::make_unique<Dense>("fc", 4, 3, &rng));
+  RunBackwardParams(model);
+  EXPECT_EQ(below->backward_calls, 0);
+  EXPECT_EQ(below->backward_params_calls, 0);
+  // The dense layer still accumulated its gradients.
+  EXPECT_GT(Norm(model.Params()[0]->grad), 0.0);
+}
+
+TEST(SequentialTest, BackwardParamsRunsFirstParameterizedLayerParamsOnly) {
+  Sequential model;
+  std::vector<SpyLayer*> spies;
+  for (const auto& [name, trainable] :
+       std::vector<std::pair<std::string, bool>>{{"in", false}, {"first", true}, {"top", true}}) {
+    auto spy = std::make_unique<SpyLayer>(name, trainable);
+    spies.push_back(spy.get());
+    model.Add(std::move(spy));
+  }
+  RunBackwardParams(model);
+  EXPECT_EQ(spies[2]->backward_calls, 1);  // above the first parameterized layer: full
+  EXPECT_EQ(spies[2]->backward_params_calls, 0);
+  EXPECT_EQ(spies[1]->backward_calls, 0);
+  EXPECT_EQ(spies[1]->backward_params_calls, 1);
+  EXPECT_EQ(spies[0]->backward_calls + spies[0]->backward_params_calls, 0);
+}
+
+TEST(SequentialTest, BackwardParamsOnParameterlessSliceRunsNothing) {
+  Sequential model;
+  std::vector<SpyLayer*> spies;
+  for (const char* name : {"a", "b"}) {
+    auto spy = std::make_unique<SpyLayer>(name, /*trainable=*/false);
+    spies.push_back(spy.get());
+    model.Add(std::move(spy));
+  }
+  RunBackwardParams(model);
+  for (const SpyLayer* spy : spies) {
+    EXPECT_EQ(spy->backward_calls + spy->backward_params_calls, 0) << spy->name();
+  }
 }
 
 TEST(ModelContextTest, TracksStashBytes) {

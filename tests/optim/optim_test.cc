@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/graph/dense.h"
@@ -152,6 +159,141 @@ TEST(OptimizerTest, CloneFreshHasEmptyState) {
   q.grad = Tensor({1}, {1.0f});
   clone->Step({&q});
   EXPECT_NEAR(q.value[0], 0.9f, 1e-6);
+}
+
+// --------------------------------------------------------------------------------------
+// Bits of the vectorized update loops. The library compiles them for the host ISA with
+// contraction off; each must equal, byte for byte, the plain scalar loop below (this file
+// is compiled with -ffp-contract=off too, tests/CMakeLists.txt). Lengths are not multiples
+// of any vector width, and the gradients mix in exact zeros and 1e-30 entries so the state
+// runs into the subnormal flush.
+
+constexpr int64_t kBitLengths[] = {1, 7, 37, 1027};
+constexpr int kBitSteps = 200;
+
+float Flush(float v) { return std::fabs(v) < FLT_MIN ? 0.0f : v; }
+
+Tensor MixedGradient(int64_t n, Rng* rng) {
+  Tensor g({n});
+  InitGaussian(&g, 1.0f, rng);
+  for (int64_t j = 0; j < n; ++j) {
+    const uint64_t pick = rng->UniformInt(8);
+    if (pick == 0) {
+      g[j] = 0.0f;
+    } else if (pick == 1) {
+      g[j] = g[j] < 0.0f ? -1e-30f : 1e-30f;
+    }
+  }
+  return g;
+}
+
+// One scalar reference step for parameter `i`: `value` is its expected value (updated in
+// place), `grad` its gradient, `step` the 1-based step number.
+using ScalarStep =
+    std::function<void(size_t i, int step, const Tensor& grad, std::vector<float>* value)>;
+
+void ExpectStepsMatchScalarLoop(Optimizer* opt, const ScalarStep& reference) {
+  Rng rng(29);
+  std::vector<Parameter> params(std::size(kBitLengths));
+  std::vector<std::vector<float>> want(params.size());
+  std::vector<Parameter*> ptrs;
+  for (size_t i = 0; i < params.size(); ++i) {
+    params[i].name = "p" + std::to_string(i);
+    params[i].value = Tensor({kBitLengths[i]});
+    InitGaussian(&params[i].value, 1.0f, &rng);
+    want[i].assign(params[i].value.data(), params[i].value.data() + kBitLengths[i]);
+    ptrs.push_back(&params[i]);
+  }
+  for (int step = 1; step <= kBitSteps; ++step) {
+    for (size_t i = 0; i < params.size(); ++i) {
+      params[i].grad = MixedGradient(kBitLengths[i], &rng);
+    }
+    opt->Step(ptrs);
+    for (size_t i = 0; i < params.size(); ++i) {
+      reference(i, step, params[i].grad, &want[i]);
+      ASSERT_EQ(std::memcmp(params[i].value.data(), want[i].data(),
+                            want[i].size() * sizeof(float)),
+                0)
+          << params[i].name << " (" << kBitLengths[i] << " floats) after step " << step;
+    }
+  }
+}
+
+TEST(OptimizerBitsTest, SgdMatchesScalarLoop) {
+  // The optimizers narrow their double hyperparameters the same way.
+  const float lr = static_cast<float>(0.05);
+  const float wd = static_cast<float>(1e-3);
+  Sgd plain(0.05, 0.0, 1e-3);
+  ExpectStepsMatchScalarLoop(&plain, [&](size_t, int, const Tensor& g, std::vector<float>* w) {
+    for (size_t j = 0; j < w->size(); ++j) {
+      (*w)[j] -= lr * (g[static_cast<int64_t>(j)] + wd * (*w)[j]);
+    }
+  });
+  const float mu = static_cast<float>(0.9);
+  Sgd momentum(0.05, 0.9, 1e-3);
+  std::vector<std::vector<float>> vel(std::size(kBitLengths));
+  ExpectStepsMatchScalarLoop(&momentum, [&](size_t i, int, const Tensor& g,
+                                            std::vector<float>* w) {
+    vel[i].resize(w->size(), 0.0f);
+    for (size_t j = 0; j < w->size(); ++j) {
+      vel[i][j] = Flush(mu * vel[i][j] + g[static_cast<int64_t>(j)] + wd * (*w)[j]);
+      (*w)[j] -= lr * vel[i][j];
+    }
+  });
+}
+
+TEST(OptimizerBitsTest, AdamMatchesScalarLoop) {
+  const double base_lr = 0.01;
+  const double beta1 = 0.9;
+  const double beta2 = 0.999;
+  Adam adam(base_lr, beta1, beta2, 1e-8);
+  std::vector<std::vector<float>> m(std::size(kBitLengths));
+  std::vector<std::vector<float>> v(std::size(kBitLengths));
+  ExpectStepsMatchScalarLoop(&adam, [&](size_t i, int step, const Tensor& g,
+                                        std::vector<float>* w) {
+    const double bias1 = 1.0 - std::pow(beta1, static_cast<double>(step));
+    const double bias2 = 1.0 - std::pow(beta2, static_cast<double>(step));
+    const float lr = static_cast<float>(base_lr * std::sqrt(bias2) / bias1);
+    const float b1 = static_cast<float>(beta1);
+    const float b2 = static_cast<float>(beta2);
+    const float eps = static_cast<float>(1e-8);
+    m[i].resize(w->size(), 0.0f);
+    v[i].resize(w->size(), 0.0f);
+    for (size_t j = 0; j < w->size(); ++j) {
+      const float gj = g[static_cast<int64_t>(j)];
+      m[i][j] = Flush(b1 * m[i][j] + (1.0f - b1) * gj);
+      v[i][j] = Flush(b2 * v[i][j] + (1.0f - b2) * gj * gj);
+      (*w)[j] -= lr * m[i][j] / (std::sqrt(v[i][j]) + eps);
+    }
+  });
+}
+
+TEST(OptimizerBitsTest, LarsMatchesScalarLoop) {
+  const double base_lr = 0.05;
+  const double wd = 1e-4;
+  const double trust = 0.001;
+  Lars lars(base_lr, 0.9, wd, trust);
+  std::vector<std::vector<float>> vel(std::size(kBitLengths));
+  ExpectStepsMatchScalarLoop(&lars, [&](size_t i, int, const Tensor& g,
+                                        std::vector<float>* w) {
+    // The norms come from the same library reduction the optimizer calls.
+    Tensor current({static_cast<int64_t>(w->size())});
+    std::copy(w->begin(), w->end(), current.data());
+    const double w_norm = Norm(current);
+    const double g_norm = Norm(g);
+    double local_lr = base_lr;
+    if (w_norm > 0.0 && g_norm > 0.0) {
+      local_lr = base_lr * trust * w_norm / (g_norm + wd * w_norm);
+    }
+    const float lr = static_cast<float>(local_lr);
+    const float mu = static_cast<float>(0.9);
+    const float wdf = static_cast<float>(wd);
+    vel[i].resize(w->size(), 0.0f);
+    for (size_t j = 0; j < w->size(); ++j) {
+      vel[i][j] = Flush(mu * vel[i][j] + lr * (g[static_cast<int64_t>(j)] + wdf * (*w)[j]));
+      (*w)[j] -= vel[i][j];
+    }
+  });
 }
 
 TEST(LrScheduleTest, ConstantLr) {

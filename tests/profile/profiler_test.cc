@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/graph/activation.h"
 #include "src/graph/dense.h"
 #include "src/graph/models.h"
 #include "src/profile/profiler.h"
@@ -41,6 +42,23 @@ TEST(ProfilerTest, TimesArePositive) {
     EXPECT_GT(layer.fwd_seconds, 0.0) << layer.name;
     EXPECT_GT(layer.bwd_seconds, 0.0) << layer.name;
   }
+}
+
+// Layer 0 sits on the input stage, which computes no input gradient: the parameterless
+// layers below the first parameterized one run no backward and are priced at 0.
+TEST(ProfilerTest, InputStageBackwardStopsAtFirstParameterizedLayer) {
+  Rng rng(1);
+  Sequential model;
+  model.Add(std::make_unique<Activation>("relu_in", ActivationKind::kRelu));
+  model.Add(std::make_unique<Dense>("fc0", 64, 128, &rng));
+  model.Add(std::make_unique<Activation>("relu0", ActivationKind::kRelu));
+  model.Add(std::make_unique<Dense>("head", 128, 8, &rng));
+  Tensor sample({16, 64});
+  const auto profile = ProfileModel(model, sample, "m");
+  EXPECT_EQ(profile.layers[0].bwd_seconds, 0.0);
+  EXPECT_GT(profile.layers[0].fwd_seconds, 0.0);
+  EXPECT_GT(profile.layers[1].bwd_seconds, 0.0);
+  EXPECT_GT(profile.layers[2].bwd_seconds, 0.0);
 }
 
 TEST(ProfilerTest, BiggerLayerTakesLonger) {

@@ -4,6 +4,7 @@
 // *the same weights* as the mathematical recurrence, not merely similar loss curves.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
 #include "src/common/rng.h"
@@ -39,6 +40,20 @@ double ParamDiff(const Sequential& a, const Sequential& b) {
     worst = std::max(worst, MaxAbsDiff(pa[i]->value, pb[i]->value));
   }
   return worst;
+}
+
+// Both models' parameters must be byte-identical.
+void ExpectParamsBitwiseEqual(const Sequential& a, const Sequential& b) {
+  const auto pa = a.Params();
+  const auto pb = b.Params();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (size_t i = 0; i < pa.size(); ++i) {
+    ASSERT_TRUE(pa[i]->value.SameShape(pb[i]->value)) << pa[i]->name;
+    EXPECT_EQ(std::memcmp(pa[i]->value.data(), pb[i]->value.data(),
+                          static_cast<size_t>(pa[i]->value.SizeBytes())),
+              0)
+        << pa[i]->name;
+  }
 }
 
 // Sequential per-minibatch SGD over batches [0, count).
@@ -476,7 +491,32 @@ TEST(EquivalenceTest, ResnetStylePipelineMatchesSequential) {
   options.schedule = ScheduleKind::kModelParallel;
   PipelineTrainer trainer(*model, plan, &loss, sgd, &data, 8, kSeed, options);
   trainer.TrainEpoch();
-  EXPECT_LT(ParamDiff(*trainer.AssembleModel(), *reference), 1e-6);
+  ExpectParamsBitwiseEqual(*trainer.AssembleModel(), *reference);
+}
+
+TEST(EquivalenceTest, ConvInputStageWithoutInputGradientMatchesSequential) {
+  // The input stage runs the parameters-only backward (its first conv computes no data
+  // gradient); the model-parallel schedule's weights must still equal, byte for byte, a
+  // sequential reference whose backward computes every input gradient.
+  const Dataset data = MakeSyntheticImages(3, 2, 8, 32, 0.5, 17);
+  auto build = [] {
+    Rng rng(kSeed);
+    return BuildMiniVgg(2, 8, 3, &rng);
+  };
+  auto reference = build();
+  const int64_t bpe = data.size() / kBatch;
+  SequentialSgd(reference.get(), data, 2 * bpe);
+
+  auto model = build();
+  const auto plan = MakeStraightPlan(static_cast<int>(model->size()), {4, 7});
+  SoftmaxCrossEntropy loss;
+  Sgd sgd(kLr);
+  PipelineTrainerOptions options;
+  options.schedule = ScheduleKind::kModelParallel;
+  PipelineTrainer trainer(*model, plan, &loss, sgd, &data, kBatch, kSeed, options);
+  trainer.TrainEpoch();
+  trainer.TrainEpoch();
+  ExpectParamsBitwiseEqual(*trainer.AssembleModel(), *reference);
 }
 
 }  // namespace

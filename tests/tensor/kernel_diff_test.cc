@@ -429,6 +429,48 @@ TEST(KernelDiffTest, SimdRowBitsDoNotDependOnProductHeight) {
   EXPECT_GT(compared, 0);
 }
 
+// A null grad_input (the input stage's parameters-only backward) must leave the weight and
+// bias gradients bit-identical to the call that also computes the data gradient, on every
+// variant and both lowerings, including accumulation into gradients that are not zero.
+TEST(KernelDiffTest, ConvBackwardWithoutInputGradKeepsParamBits) {
+  const std::vector<ConvGeometry> geometries = {
+      MakeGeometry(2, 3, 14, 9, 9, 3, 1, 1),     // direct: stride 1, padding < kernel
+      MakeGeometry(3, 5, 9, 11, 7, 5, 1, 2),     // direct, channels off the register block
+      MakeGeometry(2, 3, 10, 12, 12, 3, 2, 1),   // im2col: stride 2
+      MakeGeometry(1, 4, 17, 10, 10, 3, 1, 3)};  // im2col: padding == kernel
+  for (const KernelVariant variant :
+       {KernelVariant::kNaive, KernelVariant::kBlocked, KernelVariant::kSimd}) {
+    SetKernelVariantForTesting(variant);
+    uint64_t seed = 9000;
+    for (const ConvGeometry& g : geometries) {
+      Rng rng(seed++);
+      const Tensor input = RandomTensor({g.batch, g.in_channels, g.in_h, g.in_w}, &rng);
+      const Tensor weight =
+          RandomTensor({g.out_channels, g.in_channels, g.kernel, g.kernel}, &rng, 0.5f);
+      const Tensor grad_out =
+          RandomTensor({g.batch, g.out_channels, g.out_h(), g.out_w()}, &rng);
+      const Tensor gw_start = RandomTensor(weight.shape(), &rng);
+      const Tensor gb_start = RandomTensor({g.out_channels}, &rng);
+      for (const bool accumulate : {false, true}) {
+        const std::string what = std::string(KernelVariantName(variant)) + " conv ic=" +
+                                 std::to_string(g.in_channels) + " s=" +
+                                 std::to_string(g.stride) + " p=" + std::to_string(g.padding) +
+                                 (accumulate ? " accumulating" : " from zero");
+        Tensor gw_full = accumulate ? gw_start : Tensor(weight.shape());
+        Tensor gb_full = accumulate ? gb_start : Tensor({g.out_channels});
+        Tensor gi;
+        Conv2dBackward(input, weight, grad_out, g, &gw_full, &gb_full, &gi);
+        Tensor gw_params = accumulate ? gw_start : Tensor(weight.shape());
+        Tensor gb_params = accumulate ? gb_start : Tensor({g.out_channels});
+        Conv2dBackward(input, weight, grad_out, g, &gw_params, &gb_params, nullptr);
+        ExpectBitwiseEqual(gw_params, gw_full, what + " grad_weight");
+        ExpectBitwiseEqual(gb_params, gb_full, what + " grad_bias");
+      }
+    }
+  }
+  ClearKernelVariantForTesting();
+}
+
 // The PIPEDREAM_NAIVE_KERNELS escape hatch must reproduce the reference bit-for-bit.
 TEST(KernelDiffTest, NaiveSwitchRoutesToReference) {
   Rng rng(13);
